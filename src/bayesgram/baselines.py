@@ -8,18 +8,19 @@ seed, so comparisons isolate the model.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
-from .bsg import TrainConfig, _kl_parts, _pairs, init_rng, run_training_loop
-from .corpus import Vocabulary
+from .bsg import (BatchGrads, TrainConfig, _fold, _gather, _kl_parts, init_rng,
+                  run_training_loop)
+from .corpus import Vocabulary, single_window
 from .gauss import Gaussian
 
-__all__ = ["SgModel", "W2gModel", "sg_window_loss", "sg_window_gradients",
-           "w2g_energy", "w2g_energy_gradients", "w2g_window_loss",
-           "w2g_window_gradients", "clip_params", "train_baseline"]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
+__all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "sg_window_loss",
+           "sg_window_gradients", "w2g_energy", "w2g_energy_gradients",
+           "w2g_batch_gradients", "w2g_window_loss", "w2g_window_gradients",
+           "clip_params", "train_baseline"]
 
 BASELINE_LEARNING_RATES = {"sg": 0.0015, "w2g_s": 0.0065, "w2g_d": 0.0015}
 
@@ -62,75 +63,60 @@ def _sigmoid(x):
     return 1.0 / (1.0 + np.exp(-x))
 
 
+def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
+                       want_grads: bool = True) -> BatchGrads:
+    """Negative-sampling skip-gram losses of a padded batch, plus gradients."""
+    v = _gather(model.in_vec, centers)                 # B x d
+    u_p = _gather(model.out_vec, pos)                  # B x P x d
+    u_n = _gather(model.out_vec, neg)                  # B x k x P x d
+    s_p = np.einsum("bd,bpd->bp", v, u_p)
+    s_n = np.einsum("bd,bkpd->bkp", v, u_n)
+    neg_mask = np.broadcast_to(mask[:, None, :], s_n.shape)
+    losses = (-np.sum(np.where(mask, _log_sigmoid(s_p), 0.0), axis=1)
+              - np.sum(np.where(neg_mask, _log_sigmoid(-s_n), 0.0), axis=(1, 2)))
+    if not want_grads:
+        return BatchGrads(losses)
+    c_p = (mask * -(1.0 - _sigmoid(s_p)))[..., None]     # d loss / d score
+    c_n = (neg_mask * _sigmoid(s_n))[..., None]
+    dv = (c_p * u_p).sum(axis=1) + (c_n * u_n).sum(axis=(1, 2))
+    out_ids = np.concatenate([pos[mask], neg[neg_mask]])
+    d_out = np.concatenate([(c_p * v[:, None])[mask], (c_n * v[:, None, None])[neg_mask]])
+    return BatchGrads(losses, {"in_vec": (centers, dv), "out_vec": (out_ids, d_out)})
+
+
 def sg_window_loss(model: SgModel, center, positives, negatives) -> float:
     """Negative-sampling skip-gram loss for one window."""
-    if len(positives) == 0:
-        raise ValueError("empty positives")
-    if len(negatives) % len(positives) != 0:
-        raise ValueError("length mismatch: negatives must be a multiple of positives")
-    v = np.asarray(model.in_vec[center], dtype=np.float64)
-    pos = np.asarray(model.out_vec[list(positives)], dtype=np.float64)
-    neg = np.asarray(model.out_vec[list(negatives)], dtype=np.float64)
-    return float(-np.sum(_log_sigmoid(pos @ v)) - np.sum(_log_sigmoid(-(neg @ v))))
+    batch = single_window(center, positives, negatives)
+    return float(sg_batch_gradients(model, *batch, want_grads=False).losses[0])
 
 
 def sg_window_gradients(model: SgModel, center, positives, negatives, buffers):
     """Accumulate exact SG gradients into dense buffers; returns the loss."""
-    if len(positives) == 0:
-        raise ValueError("empty positives")
-    if len(negatives) % len(positives) != 0:
-        raise ValueError("length mismatch: negatives must be a multiple of positives")
-    v = np.asarray(model.in_vec[center], dtype=np.float64)
-    d_in = buffers["in_vec"]
-    d_out = buffers["out_vec"]
-    loss = 0.0
-    dv = np.zeros_like(v)
-    for c in positives:
-        u = np.asarray(model.out_vec[c], dtype=np.float64)
-        s = float(u @ v)
-        loss -= float(_log_sigmoid(s))
-        coef = -(1.0 - _sigmoid(s))
-        dv += coef * u
-        d_out[c] += coef * v
-    for c in negatives:
-        u = np.asarray(model.out_vec[c], dtype=np.float64)
-        s = float(u @ v)
-        loss -= float(_log_sigmoid(-s))
-        coef = _sigmoid(s)
-        dv += coef * u
-        d_out[c] += coef * v
-    d_in[center] += dv
-    return loss
+    g = sg_batch_gradients(model, *single_window(center, positives, negatives))
+    g.scatter(buffers)
+    return float(g.losses[0])
 
 
 def w2g_energy(a: Gaussian, b: Gaussian, kind: str) -> float:
     """Similarity energy between two Gaussians (higher = more similar)."""
-    e, _ = _energy_parts(a.mean, a.log_var, b.mean, b.log_var, kind)
-    return e
+    return w2g_energy_gradients(a, b, kind)[0]
 
 
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
-    """Energy value plus partials w.r.t. (mu_a, lv_a, mu_b, lv_b)."""
-    d = mu_a.shape[0]
-    if mu_b.shape[0] != d:
+    """Energy over the last axis plus partials w.r.t. (mu_a, lv_a, mu_b, lv_b),
+    broadcasting with spherical (..., 1) log-variances as bsg._kl_parts does."""
+    if mu_a.shape[-1] != mu_b.shape[-1]:
         raise ValueError("dimension mismatch")
     if kind == "expected_likelihood":
-        lva = np.broadcast_to(np.atleast_1d(lv_a), (d,))
-        lvb = np.broadcast_to(np.atleast_1d(lv_b), (d,))
-        va = np.exp(lva)
-        vb = np.exp(lvb)
+        va = np.exp(lv_a)
+        vb = np.exp(lv_b)
         s = va + vb
         dmu = mu_a - mu_b
-        val = float(-0.5 * np.sum(np.log(2.0 * np.pi * s) + dmu * dmu / s))
+        val = -0.5 * np.sum(np.log(2.0 * np.pi * s) + dmu * dmu / s, axis=-1)
         g_mu_a = -dmu / s
         g_s = -0.5 * (1.0 / s - dmu * dmu / (s * s))
-        g_lva = g_s * va
-        g_lvb = g_s * vb
-        if np.ndim(lv_a) == 0:
-            g_lva = g_lva.sum()
-        if np.ndim(lv_b) == 0:
-            g_lvb = g_lvb.sum()
-        return val, (g_mu_a, g_lva, -g_mu_a, g_lvb)
+        return val, (g_mu_a, _fold(g_s * va, lv_a, dmu.shape[-1]), -g_mu_a,
+                     _fold(g_s * vb, lv_b, dmu.shape[-1]))
     if kind == "negated_kl":
         # -KL(b || a): the context density read from the word density
         val, g_mu1, g_lv1, g_lv2 = _kl_parts(mu_b, lv_b, mu_a, lv_a)
@@ -140,69 +126,55 @@ def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
 
 def w2g_energy_gradients(a: Gaussian, b: Gaussian, kind: str):
     """(energy, d/d mu_a, d/d lv_a, d/d mu_b, d/d lv_b)."""
-    val, grads = _energy_parts(a.mean, a.log_var, b.mean, b.log_var, kind)
-    return (val,) + grads
+    val, (g_mu_a, g_lva, g_mu_b, g_lvb) = _energy_parts(
+        a.mean, a.log_var.reshape(-1), b.mean, b.log_var.reshape(-1), kind)
+    return (float(val), g_mu_a, g_lva.reshape(a.log_var.shape), g_mu_b,
+            g_lvb.reshape(b.log_var.shape))
+
+
+def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
+                        want_grads: bool = True) -> BatchGrads:
+    """Losses max(0, margin - E(center, pos) + E(center, neg)) summed over the
+    pairs of each window of a padded batch, plus gradients."""
+    mu_w = _gather(model.mean, centers)[:, None]          # B x 1 x d
+    lv_w = _gather(model.log_var, centers)[:, None]
+    e_p, (ga_p, gla_p, gb_p, glb_p) = _energy_parts(
+        mu_w, lv_w, _gather(model.mean, pos), _gather(model.log_var, pos),
+        model.energy_kind)
+    e_n, (ga_n, gla_n, gb_n, glb_n) = _energy_parts(
+        mu_w[:, None], lv_w[:, None], _gather(model.mean, neg),
+        _gather(model.log_var, neg), model.energy_kind)
+    arg = margin - e_p[:, None, :] + e_n                  # B x k x P
+    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
+    active = (arg > 0.0) & neg_mask
+    losses = np.sum(np.where(active, arg, 0.0), axis=(1, 2))
+    if not want_grads:
+        return BatchGrads(losses)
+    a = active.astype(np.float64)[..., None]              # B x k x P x 1
+    a_p = a.sum(axis=1)                                   # B x P x 1
+    ids = np.concatenate([centers, pos[mask], neg[neg_mask]])
+
+    def rows(g_a_p, g_b_p, g_a_n, g_b_n):
+        center = (a * g_a_n).sum(axis=(1, 2)) - (a_p * g_a_p).sum(axis=1)
+        return ids, np.concatenate([center, -(a_p * g_b_p)[mask], (a * g_b_n)[neg_mask]])
+
+    return BatchGrads(losses, {"mean": rows(ga_p, gb_p, ga_n, gb_n),
+                               "log_var": rows(gla_p, glb_p, gla_n, glb_n)})
 
 
 def w2g_window_loss(model: W2gModel, center, positives, negatives,
                     margin: float) -> float:
     """Max-margin ranking loss over positive/negative energies."""
-    loss, _ = _w2g_core(model, center, positives, negatives, margin, False, None)
-    return loss
+    batch = single_window(center, positives, negatives)
+    return float(w2g_batch_gradients(model, *batch, margin, want_grads=False).losses[0])
 
 
 def w2g_window_gradients(model: W2gModel, center, positives, negatives,
                          margin: float, buffers) -> float:
-    loss, _ = _w2g_core(model, center, positives, negatives, margin, True, buffers)
-    return loss
-
-
-def _w2g_core(model, center, positives, negatives, margin, want_grads, buffers):
-    if len(positives) == 0:
-        raise ValueError("empty positives")
-    spherical = model.cov_kind == "spherical"
-    mu_w = np.asarray(model.mean[center], dtype=np.float64)
-    lv_w = (float(model.log_var[center]) if spherical
-            else np.asarray(model.log_var[center], dtype=np.float64))
-
-    def parts(word):
-        mu = np.asarray(model.mean[word], dtype=np.float64)
-        lv = (float(model.log_var[word]) if spherical
-              else np.asarray(model.log_var[word], dtype=np.float64))
-        return _energy_parts(mu_w, lv_w, mu, lv, model.energy_kind)
-
-    e_pos = [parts(w) for w in positives]
-    e_neg = [parts(w) for w in negatives]
-    pairs = _pairs(len(positives), len(negatives), all_pairs=False)
-    loss = 0.0
-    active = []
-    for j, k in pairs:
-        arg = margin - e_pos[j][0] + e_neg[k][0]
-        if arg > 0.0:
-            loss += arg
-            active.append((j, k))
-    if not want_grads:
-        return loss, None
-
-    d_mean = buffers["mean"]
-    d_lv = buffers["log_var"]
-    dmu_w = np.zeros_like(mu_w)
-    dlv_w = 0.0 if spherical else np.zeros_like(mu_w)
-
-    def add(word, grads, coef):
-        nonlocal dmu_w, dlv_w
-        g_mu_a, g_lva, g_mu_b, g_lvb = grads
-        dmu_w = dmu_w + coef * g_mu_a
-        dlv_w = dlv_w + coef * g_lva
-        d_mean[word] += coef * g_mu_b
-        d_lv[word] += coef * g_lvb
-
-    for j, k in active:
-        add(positives[j], e_pos[j][1], -1.0)
-        add(negatives[k], e_neg[k][1], +1.0)
-    d_mean[center] += dmu_w
-    d_lv[center] += dlv_w
-    return loss, None
+    """Accumulate exact W2G gradients into dense buffers; returns the loss."""
+    g = w2g_batch_gradients(model, *single_window(center, positives, negatives), margin)
+    g.scatter(buffers)
+    return float(g.losses[0])
 
 
 def clip_params(model: W2gModel) -> W2gModel:
@@ -253,24 +225,17 @@ def train_baseline(kind: str, corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     rng = init_rng(cfg)
     if kind == "sg":
         model = init_sg_model(vocab, cfg, rng)
-
-        def grad_of_window(center, positives, negatives, buffers):
-            return sg_window_gradients(model, center, positives, negatives, buffers)
-
-        post_batch = None
+        grad_of_batch, post_batch = partial(sg_batch_gradients, model), None
     else:
         cov_kind = "spherical" if kind == "w2g_s" else "diagonal"
         model = init_w2g_model(vocab, cfg, rng, cov_kind, **w2g_kwargs)
-
-        def grad_of_window(center, positives, negatives, buffers):
-            return w2g_window_gradients(model, center, positives, negatives,
-                                        cfg.margin, buffers)
+        grad_of_batch = partial(w2g_batch_gradients, model, margin=cfg.margin)
 
         def post_batch(_params):
             clip_params(model)
 
     run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
-                      grad_of_window, lr=lr, post_batch=post_batch,
+                      grad_of_batch, lr=lr, post_batch=post_batch,
                       log_path=log_path, epoch_losses=epoch_losses)
     if kind != "sg":
         clip_params(model)

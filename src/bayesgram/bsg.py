@@ -13,17 +13,21 @@ through subsampling and negative sampling upstream.
 import csv
 import os
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
-from .corpus import Vocabulary, iter_training_windows
-from .encoder import EncoderParams, init_encoder, infer_posterior, encoder_backward
+from .corpus import Vocabulary, iter_training_batches, single_window
+from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it here)
+from .encoder import (EncoderGrads, EncoderParams, backward_batch, encode_batch,
+                      infer_posterior, init_encoder, sum_rows)
+from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
 from .gauss import Gaussian, kl_divergence
 from .optim import Adam
 
-__all__ = ["TrainConfig", "BsgModel", "NumericalError", "init_bsg_model",
-           "reparameterize", "window_loss", "window_loss_gradients",
-           "elbo_estimate", "train"]
+__all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
+           "init_bsg_model", "reparameterize", "batch_gradients", "window_loss",
+           "window_loss_gradients", "elbo_estimate", "train"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -51,9 +55,8 @@ class TrainConfig:
     hidden_dim: int = 0              # 0 -> same as dim
     neg_exponent: float = 1.0
     lowercase: bool = True
-    all_pairs: bool = False          # pair every positive with every negative
     deterministic: bool = True
-    param_dtype: str = "float32"     # storage; math always accumulates in 64-bit
+    param_dtype: str = "float32"     # storage, encoder forward; loss and grads in 64-bit
 
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.epochs < 0:
@@ -127,34 +130,89 @@ def reparameterize(g: Gaussian, eps: np.ndarray) -> np.ndarray:
 
 
 def _kl_parts(mu1, lv1, mu2, lv2):
-    """KL of diagonal Gaussians from raw arrays, plus all partials.
+    """KL(N(mu1, e^lv1) || N(mu2, e^lv2)) over the last axis, plus partials.
 
-    lv1/lv2 may be scalars (spherical) or vectors; gradients w.r.t. a scalar
-    log-variance come back as a scalar (summed over coordinates).
+    Arguments broadcast; a log-variance with a last axis of 1 is spherical.
+    Returns (kl, d/d mu1, d/d lv1, d/d lv2); d/d mu2 is -d/d mu1.
     """
-    d = mu1.shape[0]
-    lv1v = np.broadcast_to(np.atleast_1d(lv1), (d,))
-    lv2v = np.broadcast_to(np.atleast_1d(lv2), (d,))
-    ratio = np.exp(lv1v - lv2v)
     dmu = mu1 - mu2
-    inv2 = np.exp(-lv2v)
-    val = 0.5 * np.sum(ratio + dmu * dmu * inv2 - 1.0 + lv2v - lv1v)
-    g_mu1 = dmu * inv2
-    g_lv1 = 0.5 * (ratio - 1.0)
-    g_lv2 = 0.5 * (1.0 - ratio - dmu * dmu * inv2)
-    if np.ndim(lv1) == 0:
-        g_lv1 = g_lv1.sum()
-    if np.ndim(lv2) == 0:
-        g_lv2 = g_lv2.sum()
-    return float(val), g_mu1, g_lv1, g_lv2
+    inv2 = np.exp(-lv2)
+    ratio = np.exp(lv1 - lv2)
+    val = 0.5 * np.sum(ratio + dmu * dmu * inv2 - 1.0 + lv2 - lv1, axis=-1)
+    return (val, dmu * inv2, _fold(0.5 * (ratio - 1.0), lv1, dmu.shape[-1]),
+            _fold(0.5 * (1.0 - ratio - dmu * dmu * inv2), lv2, dmu.shape[-1]))
 
 
-def _pairs(n_pos, n_neg, all_pairs):
-    if all_pairs:
-        return [(j, k) for j in range(n_pos) for k in range(n_neg)]
-    if n_neg % n_pos != 0:
-        raise ValueError("length mismatch: negatives must be a multiple of positives")
-    return [(k % n_pos, k) for k in range(n_neg)]
+def _fold(g, lv, d):
+    """A log-variance partial, summed over the d coordinates if lv is spherical."""
+    if lv.shape[-1] > 1:
+        return g
+    return g.sum(axis=-1, keepdims=True) if g.shape[-1] > 1 else g * d
+
+
+def _gather(table, ids):
+    """Rows of a V-row table in float64; log-variances come back (..., 1 or d)."""
+    return np.asarray(table.reshape(len(table), -1)[ids], dtype=np.float64)
+
+
+@dataclass
+class BatchGrads:
+    """Window losses (B,) and the gradient of their sum: rows maps a V-row
+    parameter to (row ids (N,), row gradients (N, ...)), dense the others."""
+
+    losses: np.ndarray
+    rows: dict = field(default_factory=dict)
+    dense: dict = field(default_factory=dict)
+
+    def scatter(self, buffers: dict):
+        """Add into dense buffers keyed like the parameters; repeated rows add up."""
+        for name, (ids, g) in self.rows.items():
+            buf = buffers[name]
+            np.add.at(buf, ids, g.reshape((len(ids),) + buf.shape[1:]))
+        for name, g in self.dense.items():
+            buffers[name] += g
+
+
+def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
+                    want_grads: bool = True) -> BatchGrads:
+    """Losses of a padded batch of windows and, if wanted, their gradients.
+
+    Batch layout as in corpus.iter_training_batches. A window's loss is
+    KL(q || prior[center]) plus, per pair (positive j, negative r*n + j),
+    max(0, KL(q || pos) - KL(q || neg) + margin), or the plain difference
+    for the soft objective.
+    """
+    acts, mu_q, lv_q = encode_batch(centers, pos, mask, model.enc)
+    ctx, ctx_lv = model.ctx_mean, model.ctx_log_var
+    kl_p, gq_p, glq_p, glt_p = _kl_parts(mu_q[:, None], lv_q[:, None],
+                                         _gather(ctx, pos), _gather(ctx_lv, pos))
+    kl_n, gq_n, glq_n, glt_n = _kl_parts(mu_q[:, None, None], lv_q[:, None, None],
+                                         _gather(ctx, neg), _gather(ctx_lv, neg))
+    kl_0, gq_0, glq_0, glt_0 = _kl_parts(mu_q, lv_q, _gather(model.prior_mean, centers),
+                                         _gather(model.prior_log_var, centers))
+    arg = kl_p[:, None, :] - kl_n                      # B x k x P
+    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
+    if cfg.objective == "hinge":
+        arg += cfg.margin
+        active = (arg > 0.0) & neg_mask
+    else:
+        active = neg_mask
+    losses = kl_0 + np.sum(np.where(active, arg, 0.0), axis=(1, 2))
+    if not want_grads:
+        return BatchGrads(losses)
+
+    a = active.astype(np.float64)[..., None]           # B x k x P x 1
+    a_p = a.sum(axis=1)                                # B x P x 1, per positive
+    d_mu = (a_p * gq_p).sum(axis=1) - (a * gq_n).sum(axis=(1, 2)) + gq_0
+    d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2)) + glq_0
+    enc_dense, enc_rows = backward_batch(model.enc, acts, d_mu, d_lv)
+    ctx_ids = np.concatenate([pos[mask], neg[neg_mask]])
+    ctx_mu = np.concatenate([-(a_p * gq_p)[mask], (a * gq_n)[neg_mask]])
+    ctx_lv = np.concatenate([(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
+    rows = {"prior_mean": (centers, -gq_0), "prior_log_var": (centers, glt_0),
+            "ctx_mean": (ctx_ids, ctx_mu), "ctx_log_var": (ctx_ids, ctx_lv),
+            "enc_R": enc_rows}
+    return BatchGrads(losses, rows, {f"enc_{k}": g for k, g in enc_dense.items()})
 
 
 @dataclass
@@ -167,87 +225,28 @@ class WindowGrads:
     ctx: dict = field(default_factory=dict)
 
 
-def _window_core(model: BsgModel, center, positives, negatives, cfg: TrainConfig,
-                 want_grads: bool):
-    if len(positives) == 0:
-        raise ValueError("empty positives")
-    if len(negatives) == 0:
-        raise ValueError("length mismatch: no negatives")
-    q = infer_posterior(center, positives, model.enc)
-    mu_q = q.mean
-    lv_q = q.log_var if q.log_var.ndim else float(q.log_var)
-
-    spherical = model.cov_kind == "spherical"
-
-    def table_kl(word, table_mu, table_lv):
-        mu2 = np.asarray(table_mu[word], dtype=np.float64)
-        lv2 = float(table_lv[word]) if spherical else np.asarray(table_lv[word],
-                                                                 dtype=np.float64)
-        return _kl_parts(mu_q, lv_q, mu2, lv2)
-
-    kl_pos = [table_kl(w, model.ctx_mean, model.ctx_log_var) for w in positives]
-    kl_neg = [table_kl(w, model.ctx_mean, model.ctx_log_var) for w in negatives]
-    kl_prior = table_kl(center, model.prior_mean, model.prior_log_var)
-
-    pairs = _pairs(len(positives), len(negatives), cfg.all_pairs)
-    hinge = cfg.objective == "hinge"
-    loss = kl_prior[0]
-    pair_coef = []
-    for j, k in pairs:
-        arg = kl_pos[j][0] - kl_neg[k][0] + (cfg.margin if hinge else 0.0)
-        if hinge:
-            active = arg > 0.0
-            loss += arg if active else 0.0
-            pair_coef.append(1.0 if active else 0.0)
-        else:
-            loss += arg
-            pair_coef.append(1.0)
-    if not want_grads:
-        return loss, None
-
-    d_mu_q = np.zeros(model.dim)
-    d_lv_q = 0.0 if q.log_var.ndim == 0 else np.zeros(model.dim)
-    prior_grads, ctx_grads = {}, {}
-
-    def add_ctx(word, parts, coef):
-        _, g_mu1, g_lv1, g_lv2 = parts
-        nonlocal d_mu_q, d_lv_q
-        d_mu_q = d_mu_q + coef * g_mu1
-        d_lv_q = d_lv_q + coef * g_lv1
-        slot = ctx_grads.get(word)
-        if slot is None:
-            ctx_grads[word] = [-coef * g_mu1, coef * g_lv2]
-        else:
-            slot[0] -= coef * g_mu1
-            slot[1] += coef * g_lv2
-
-    for coef, (j, k) in zip(pair_coef, pairs):
-        if coef != 0.0:
-            add_ctx(positives[j], kl_pos[j], coef)
-            add_ctx(negatives[k], kl_neg[k], -coef)
-    # prior term (coefficient 1)
-    _, g_mu1, g_lv1, g_lv2 = kl_prior
-    d_mu_q = d_mu_q + g_mu1
-    d_lv_q = d_lv_q + g_lv1
-    prior_grads[center] = [-g_mu1, g_lv2]
-
-    enc_grads = encoder_backward(center, positives, model.enc, d_mu_q, d_lv_q)
-    return loss, WindowGrads(loss=loss, enc=enc_grads,
-                             prior=prior_grads, ctx=ctx_grads)
-
-
 def window_loss(model: BsgModel, center, positives, negatives,
                 cfg: TrainConfig) -> float:
-    """Margin (or soft) loss of one training window. See module docstring."""
-    loss, _ = _window_core(model, center, positives, negatives, cfg, False)
-    return loss
+    """Margin (or soft) loss of one training window: batch_gradients at B = 1."""
+    g = batch_gradients(model, *single_window(center, positives, negatives), cfg, False)
+    return float(g.losses[0])
 
 
 def window_loss_gradients(model: BsgModel, center, positives, negatives,
                           cfg: TrainConfig) -> WindowGrads:
     """Loss plus exact gradients; inactive hinge terms contribute nothing."""
-    _, grads = _window_core(model, center, positives, negatives, cfg, True)
-    return grads
+    g = batch_gradients(model, *single_window(center, positives, negatives), cfg)
+
+    def table(mean, lv):            # {word id: [d_mean, d_log_var]}
+        ids, g_mu = g.rows[mean]
+        lvs = sum_rows(ids, g.rows[lv][1].reshape(getattr(model, lv)[ids].shape))
+        return {w: [m, lvs[w]] for w, m in sum_rows(ids, g_mu).items()}
+
+    enc = EncoderGrads(**{"d" + k[4:]: v for k, v in g.dense.items()},
+                       dR=sum_rows(*g.rows["enc_R"]))
+    return WindowGrads(loss=float(g.losses[0]), enc=enc,
+                       prior=table("prior_mean", "prior_log_var"),
+                       ctx=table("ctx_mean", "ctx_log_var"))
 
 
 def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
@@ -286,24 +285,6 @@ def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
 
 def _zero_grad_buffers(params: dict) -> dict:
     return {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
-
-
-def _accumulate(buffers: dict, wg: WindowGrads):
-    for w, (dmu, dlv) in wg.prior.items():
-        buffers["prior_mean"][w] += dmu
-        buffers["prior_log_var"][w] += dlv
-    for w, (dmu, dlv) in wg.ctx.items():
-        buffers["ctx_mean"][w] += dmu
-        buffers["ctx_log_var"][w] += dlv
-    eg = wg.enc
-    buffers["enc_M"] += eg.dM
-    buffers["enc_U"] += eg.dU
-    buffers["enc_b1"] += eg.db1
-    buffers["enc_W"] += eg.dW
-    buffers["enc_b2"] += eg.db2
-    R = buffers["enc_R"]
-    for w, g in eg.dR.items():
-        R[w] += g
 
 
 class _Telemetry:
@@ -345,62 +326,48 @@ def init_rng(cfg: TrainConfig) -> np.random.Generator:
 
 
 def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
-                      params: dict, grad_of_window, lr: float,
+                      params: dict, grad_of_batch, lr: float,
                       post_batch=None, log_path=None, epoch_losses=None):
-    """Shared mini-batch Adam engine.
+    """Shared mini-batch Adam engine over corpus.iter_training_batches.
 
-    grad_of_window(center, positives, negatives, buffers) accumulates the
-    window gradient into the dense 64-bit buffers and returns the loss.
-    post_batch(params), when given, runs after every optimizer step (used
-    for projection/clipping). Deterministic given cfg.seed: the pipeline is
-    a single sequential pass. Telemetry CSV goes to log_path or $BSG_LOG.
+    grad_of_batch(centers, pos, neg, mask) returns the BatchGrads of a padded
+    batch. A non-finite window loss raises NumericalError before the batch
+    touches any parameter; otherwise the gradients are scattered into dense
+    64-bit buffers, divided by the batch's window count in place, and Adam
+    steps. post_batch(params), when given, runs after every step (used for
+    projection/clipping). Deterministic given cfg.seed: the pipeline is a
+    single sequential pass. Telemetry CSV goes to log_path or $BSG_LOG.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
     buffers = _zero_grad_buffers(params)
     rng = data_rng(cfg)
-    batch_idx = 0
-    examples_seen = 0
-
-    def apply_batch(n_windows, batch_loss):
-        nonlocal batch_idx
-        grads = {k: v / n_windows for k, v in buffers.items()}
-        opt.step(grads)
-        if post_batch is not None:
-            post_batch(params)
-        for v in buffers.values():
-            v.fill(0.0)
-        telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)
-        batch_idx += 1
-
+    batch_idx = examples_seen = 0
     try:
         for _ in range(cfg.epochs):
-            tasks = 0
-            windows = 0
-            batch_loss = 0.0
-            epoch_loss = 0.0
-            epoch_windows = 0
-            stream = iter_training_windows(corpus_path, vocab, cfg.window,
-                                           cfg.negatives_per_positive, rng,
-                                           lowercase=cfg.lowercase)
-            for center, positives, negatives in stream:
-                loss = grad_of_window(center, positives, negatives, buffers)
-                if not np.isfinite(loss):
+            epoch_loss, epoch_windows = 0.0, 0
+            for centers, pos, neg, mask in iter_training_batches(
+                    corpus_path, vocab, cfg.window, cfg.negatives_per_positive,
+                    cfg.batch_size, rng, lowercase=cfg.lowercase):
+                grads = grad_of_batch(centers, pos, neg, mask)
+                if not np.all(np.isfinite(grads.losses)):
                     raise NumericalError(
                         "non-finite loss; " + _param_diagnostics(params, batch_idx))
-                batch_loss += loss
-                epoch_loss += loss
-                tasks += len(negatives)
-                examples_seen += len(negatives)
-                windows += 1
-                epoch_windows += 1
-                if tasks >= cfg.batch_size:
-                    apply_batch(windows, batch_loss)
-                    tasks = 0
-                    windows = 0
-                    batch_loss = 0.0
-            if windows:
-                apply_batch(windows, batch_loss)
+                grads.scatter(buffers)
+                n_windows = len(grads.losses)
+                for v in buffers.values():
+                    np.divide(v, n_windows, out=v)
+                opt.step(buffers)
+                if post_batch is not None:
+                    post_batch(params)
+                for v in buffers.values():
+                    v.fill(0.0)
+                batch_loss = float(grads.losses.sum())
+                examples_seen += int(mask.sum()) * neg.shape[1]   # k tasks per positive
+                telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)
+                batch_idx += 1
+                epoch_loss += batch_loss
+                epoch_windows += n_windows
             if epoch_losses is not None and epoch_windows:
                 epoch_losses.append(epoch_loss / epoch_windows)
     finally:
@@ -414,14 +381,7 @@ def train(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     epoch_losses, if a list, receives the mean window loss of each epoch.
     """
     model = init_bsg_model(vocab, cfg, init_rng(cfg))
-    params = model.param_arrays()
-
-    def grad_of_window(center, positives, negatives, buffers):
-        wg = window_loss_gradients(model, center, positives, negatives, cfg)
-        _accumulate(buffers, wg)
-        return wg.loss
-
-    run_training_loop(corpus_path, vocab, cfg, params, grad_of_window,
-                      lr=cfg.learning_rate, log_path=log_path,
-                      epoch_losses=epoch_losses)
+    run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
+                      partial(batch_gradients, model, cfg=cfg), lr=cfg.learning_rate,
+                      log_path=log_path, epoch_losses=epoch_losses)
     return model

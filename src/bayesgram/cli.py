@@ -12,7 +12,7 @@ import numpy as np
 
 from . import baselines, bsg, evaluate, oracles, serialize
 from .corpus import (CorpusError, Vocabulary, build_vocabulary, iter_documents,
-                     tokenize_line)
+                     single_window, tokenize_line)
 from .evaluate import EvalError
 from .serialize import SerializationError
 
@@ -337,56 +337,31 @@ def _cmd_selftest(_args):
 
 
 def _selftest_gradcheck(rng):
-    from .corpus import Vocabulary
-    words = [f"w{i}" for i in range(12)]
-    vocab = Vocabulary(words, np.arange(1, 13, dtype=np.int64))
-    cfg = bsg.TrainConfig(dim=3, hidden_dim=4, margin=0.5, param_dtype="float64",
-                          epochs=0)
+    """Worst finite-difference error of the kernel's B = 1 gradients, as trained."""
+    vocab = Vocabulary([f"w{i}" for i in range(12)], np.arange(1, 13, dtype=np.int64))
+    cfg = bsg.TrainConfig(dim=3, hidden_dim=4, margin=0.5, param_dtype="float64")
     worst = 0.0
     for _ in range(10):
         model = bsg.init_bsg_model(vocab, cfg, rng)
-        for arr in model.param_arrays().values():
-            arr += rng.normal(scale=0.1, size=arr.shape)
-        center = int(rng.integers(12))
-        pos = list(rng.integers(0, 12, size=3))
-        neg = list(rng.integers(0, 12, size=3))
-        wg = bsg.window_loss_gradients(model, center, pos, neg, cfg)
         params = model.param_arrays()
-        names = sorted(params)
-        flat = np.concatenate([params[n].reshape(-1) for n in names])
+        for arr in params.values():
+            arr += rng.normal(scale=0.1, size=arr.shape)
+        batch = single_window(int(rng.integers(12)), list(rng.integers(0, 12, size=3)),
+                              list(rng.integers(0, 12, size=3)))
+        buffers = {n: np.zeros(a.shape) for n, a in params.items()}
+        bsg.batch_gradients(model, *batch, cfg).scatter(buffers)
+        for name, arr in params.items():
+            x0 = arr.reshape(-1).copy()
 
-        def loss_of(vec):
-            off = 0
-            for n in names:
-                a = params[n]
-                a[...] = vec[off:off + a.size].reshape(a.shape)
-                off += a.size
-            return bsg.window_loss(model, center, pos, neg, cfg)
+            def loss_of(x, arr=arr):
+                arr[...] = x.reshape(arr.shape)
+                return float(bsg.batch_gradients(model, *batch, cfg, False).losses[0])
 
-        fd = oracles.finite_diff_grad(loss_of, flat, 1e-6)
-        loss_of(flat)
-        analytic = _flat_grads(model, wg, names)
-        denom = np.maximum(np.abs(fd), 1.0)
-        worst = max(worst, float(np.max(np.abs(analytic - fd) / denom)))
+            fd = oracles.finite_diff_grad(loss_of, x0, 1e-6)
+            loss_of(x0)
+            err = np.abs(buffers[name].reshape(-1) - fd) / np.maximum(np.abs(fd), 1.0)
+            worst = max(worst, float(err.max()))
     return worst
-
-
-def _flat_grads(model, wg, names):
-    dense = {k: np.zeros(v.shape) for k, v in model.param_arrays().items()}
-    for w, (dmu, dlv) in wg.prior.items():
-        dense["prior_mean"][w] = dmu
-        dense["prior_log_var"][w] = dlv
-    for w, (dmu, dlv) in wg.ctx.items():
-        dense["ctx_mean"][w] = dmu
-        dense["ctx_log_var"][w] = dlv
-    dense["enc_M"] = wg.enc.dM
-    dense["enc_U"] = wg.enc.dU
-    dense["enc_b1"] = wg.enc.db1
-    dense["enc_W"] = wg.enc.dW
-    dense["enc_b2"] = wg.enc.db2
-    for w, g in wg.enc.dR.items():
-        dense["enc_R"][w] = g
-    return np.concatenate([dense[n].reshape(-1) for n in names])
 
 
 _COMMANDS = {

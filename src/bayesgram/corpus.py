@@ -6,6 +6,7 @@ never cross document boundaries.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -19,6 +20,8 @@ __all__ = [
     "sample_negatives",
     "Window",
     "iter_training_windows",
+    "iter_training_batches",
+    "single_window",
 ]
 
 
@@ -56,6 +59,11 @@ class Vocabulary:
         self.keep_prob = np.minimum(1.0, np.sqrt(self.subsample_t / self.unigram_prob))
         p = self.unigram_prob ** self.neg_table_exponent
         self.neg_prob = p / p.sum()
+
+    @cached_property
+    def neg_cdf(self) -> np.ndarray:    # as Generator.choice(p=neg_prob) builds it
+        cdf = self.neg_prob.cumsum()
+        return cdf / cdf[-1]
 
     def __len__(self):
         return len(self.words)
@@ -153,52 +161,114 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
     return Vocabulary(words, cts, subsample_t=t, neg_table_exponent=neg_exponent)
 
 
+_BLOCK = 1 << 16   # most windows per array block: bounds memory on long documents
+
+
 def subsample_stream(tokens, vocab: Vocabulary, rng: np.random.Generator):
     """Drop frequent tokens, each kept independently with keep_prob[id]."""
-    keep = vocab.keep_prob
-    out = []
-    for w in tokens:
-        if keep[w] >= 1.0 or rng.random() < keep[w]:
-            out.append(w)
-    return out
+    ids = np.asarray(tokens, dtype=np.intp)
+    keep = vocab.keep_prob[ids]
+    drawn = keep < 1.0                  # one uniform each, in token order
+    kept = ~drawn
+    kept[drawn] = rng.random(drawn.sum()) < keep[drawn]    # random(0) draws nothing
+    return ids[kept].tolist()
+
+
+def _window_arrays(ids: np.ndarray, window_size: int, lo: int = 0, hi=None):
+    """The windows centered in ids[lo:hi]: centers (W,), contexts and mask (W, 2w).
+
+    Contexts are the left then right neighbours, truncated at the stream
+    boundaries and left-aligned; mask marks the real ones, padding ids are 0.
+    """
+    if window_size < 1:
+        raise ValueError("window_size must be >= 1")
+    n = len(ids)
+    hi = n if hi is None or n < 2 else min(hi, n)     # one token: no window
+    i = np.arange(lo if n > 1 else hi, hi)[:, None]
+    j = np.arange(2 * window_size)[None, :]
+    left = np.minimum(i, window_size)
+    mask = j < left + np.minimum(n - 1 - i, window_size)
+    at = i - left + j + (j >= left)                     # skip the center itself
+    return ids[i[:, 0]], np.where(mask, ids[np.minimum(at, n - 1)], 0), mask
 
 
 def extract_windows(tokens, window_size: int):
     """Symmetric context windows, truncated at the stream boundaries."""
-    if window_size < 1:
-        raise ValueError("window_size must be >= 1")
-    n = len(tokens)
-    windows = []
-    for i in range(n):
-        lo = max(0, i - window_size)
-        hi = min(n, i + window_size + 1)
-        ctx = tuple(tokens[lo:i]) + tuple(tokens[i + 1:hi])
-        if ctx:
-            windows.append(Window(tokens[i], ctx))
-    return windows
+    centers, ctx, mask = _window_arrays(np.asarray(tokens, dtype=np.intp), window_size)
+    return [Window(c, tuple(x[:m].tolist()))
+            for c, x, m in zip(centers.tolist(), ctx, mask.sum(axis=1).tolist())]
 
 
 def sample_negatives(vocab: Vocabulary, k: int, rng: np.random.Generator):
     """k i.i.d. draws from the unigram distribution raised to neg_table_exponent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return list(rng.choice(len(vocab), size=k, p=vocab.neg_prob))
+    return vocab.neg_cdf.searchsorted(rng.random(k), side="right").tolist()
 
 
 def iter_training_windows(corpus_path, vocab: Vocabulary, window_size: int,
                           negatives_per_positive: int, rng: np.random.Generator,
                           lowercase: bool = True):
-    """Yield (center, positives, negatives) triples for one epoch.
+    """Yield (center, positives, negatives) triples for one epoch: the stream
+    of iter_training_batches, one window at a time."""
+    for (c,), (p,), (q,), (m,) in iter_training_batches(
+            corpus_path, vocab, window_size, negatives_per_positive, 1, rng, lowercase):
+        n = int(m.sum())
+        yield int(c), p[:n].tolist(), q[:, :n].ravel().tolist()
+
+
+def iter_training_batches(corpus_path, vocab: Vocabulary, window_size: int,
+                          negatives_per_positive: int, batch_size: int,
+                          rng: np.random.Generator, lowercase: bool = True):
+    """Yield one epoch of the stream as padded batches (centers, pos, neg, mask).
 
     This is the single stream shared by every trainer so that model
-    comparisons see identical windows and negatives for a given seed.
-    OOV tokens are dropped, the remainder subsampled, then windowed per
-    document; negatives are resampled per window.
+    comparisons see identical windows and negatives for a given seed. OOV
+    tokens are dropped, the remainder subsampled, then windowed per document;
+    pos and mask (B, 2w) are as in _window_arrays. A window with n positives
+    gets k*n negatives: negative r*n + j pairs with positive j and sits at
+    neg[:, r, j] of neg (B, k, 2w). One rng.random call draws a document's
+    subsampling uniforms, one more the negatives of each block of _BLOCK
+    windows, through neg_cdf: the draws of one rng.random() per subsampled
+    token and one rng.choice per window. A batch closes at the first window
+    that brings it to batch_size prediction tasks (k per positive); batches
+    span documents.
     """
+    k = negatives_per_positive
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    parts, carried = [], 0
     for doc in iter_documents(corpus_path, lowercase=lowercase):
-        ids = vocab.ids(doc)
-        ids = subsample_stream(ids, vocab, rng)
-        for win in extract_windows(ids, window_size):
-            k = len(win.contexts) * negatives_per_positive
-            negs = sample_negatives(vocab, k, rng)
-            yield win.center, list(win.contexts), negs
+        ids = np.asarray(subsample_stream(vocab.ids(doc), vocab, rng), dtype=np.intp)
+        for lo in range(0, len(ids), _BLOCK):
+            centers, pos, mask = _window_arrays(ids, window_size, lo, lo + _BLOCK)
+            n = mask.sum(axis=1)
+            if not len(n):
+                continue
+            draws = np.asarray(sample_negatives(vocab, k * int(n.sum()), rng))
+            at = (k * (np.cumsum(n) - n)[:, None, None]       # the window's first draw
+                  + np.arange(k)[:, None] * n[:, None, None] + np.arange(pos.shape[1]))
+            neg = np.where(mask[:, None, :], draws[np.minimum(at, len(draws) - 1)], 0)
+            block = (centers, pos, neg, mask)
+            cum = carried + np.cumsum(n) * k
+            start = base = 0                   # the open batch began at task base
+            while (end := max(start, np.searchsorted(cum, base + batch_size))) < len(cum):
+                parts.append([a[start:end + 1] for a in block])
+                yield tuple(map(np.concatenate, zip(*parts)))
+                parts, start, base = [], end + 1, int(cum[end])
+            if start < len(cum):
+                parts.append([a[start:] for a in block])
+            carried = int(cum[-1]) - base
+    if parts:
+        yield tuple(map(np.concatenate, zip(*parts)))
+
+
+def single_window(center, positives, negatives):
+    """One window as a batch of one (centers, pos, neg, mask)."""
+    n = len(positives)
+    if n == 0:
+        raise ValueError("empty positives")
+    if len(negatives) % n != 0 or len(negatives) == 0:
+        raise ValueError("length mismatch: need k >= 1 negatives per positive")
+    return (np.array([center], dtype=np.intp), np.array([positives], dtype=np.intp),
+            np.asarray(negatives, dtype=np.intp).reshape(1, -1, n), np.ones((1, n), bool))

@@ -15,7 +15,7 @@ import numpy as np
 from .gauss import Gaussian
 
 __all__ = ["EncoderParams", "EncoderGrads", "init_encoder", "infer_posterior",
-           "encoder_backward"]
+           "encode_batch", "backward_batch", "encoder_backward"]
 
 
 @dataclass
@@ -118,6 +118,54 @@ def infer_posterior(center, contexts, params: EncoderParams) -> Gaussian:
     return Gaussian(mu, lv)
 
 
+def encode_batch(centers, contexts, mask, params: EncoderParams):
+    """Posteriors of a padded batch: centers (B,), contexts and mask (B, P).
+
+    Runs in the parameters' storage dtype, as infer_posterior does. Returns
+    the activations backward_batch needs, mu (B, d) and log-variance (B, 1 or
+    d), the last two in float64.
+    """
+    R = params.R
+    center = np.broadcast_to(R[centers][:, None, :], contexts.shape + (params.dim,))
+    X = np.concatenate([R[contexts], center], axis=2)    # B x P x 2d
+    A = (X.reshape(-1, 2 * params.dim) @ params.M.T).reshape(
+        contexts.shape + (params.hidden_dim,))          # pre-activation
+    h = (np.maximum(A, 0.0) * mask[..., None]).sum(axis=1)   # B x d_h
+    # one matrix-vector product per window, rounded as infer_posterior's
+    mu = np.matmul(params.U, h[:, :, None])[..., 0] + params.b1
+    lv = np.matmul(params.W, h[:, :, None])[..., 0] + params.b2
+    acts = (centers, contexts, mask, X, A, h)
+    return acts, mu.astype(np.float64), lv.astype(np.float64)
+
+
+def backward_batch(params: EncoderParams, acts, d_mu: np.ndarray, d_lv: np.ndarray):
+    """Exact gradients of a summed loss through each window's (mu_q, log var_q).
+
+    d_mu (B, d) and d_lv (B, 1 or d) are the upstream gradients. Returns
+    ({"M", "U", "b1", "W", "b2"} -> gradient, (R row ids, R row gradients));
+    the ids, which may repeat, are the center and real context rows.
+    """
+    centers, contexts, mask, X, A, h = acts
+    dh = d_mu @ params.U + d_lv @ params.W           # B x d_h
+    dA = (A > 0.0) * mask[..., None] * dh[:, None, :]   # dead units pass nothing
+    d = params.dim
+    dA2, X2 = dA.reshape(-1, dA.shape[2]), X.reshape(-1, 2 * d)
+    dX = (dA2 @ params.M).reshape(X.shape)
+    dense = {"M": dA2.T @ X2, "U": d_mu.T @ h, "b1": d_mu.sum(axis=0),
+             "W": d_lv.T @ h, "b2": d_lv.sum(axis=0)}
+    rows = (np.concatenate([contexts[mask], centers]),
+            np.concatenate([dX[..., :d][mask], dX[..., d:].sum(axis=1)]))
+    return dense, rows
+
+
+def sum_rows(ids, grads) -> dict:
+    """{row id: summed gradient} over (ids (N,), grads (N, ...)) pairs."""
+    uniq, inv = np.unique(ids, return_inverse=True)
+    out = np.zeros((len(uniq),) + grads.shape[1:])
+    np.add.at(out, inv, grads)
+    return dict(zip(uniq.tolist(), out))
+
+
 def encoder_backward(center, contexts, params: EncoderParams,
                      d_mu: np.ndarray, d_log_var) -> EncoderGrads:
     """Exact gradients of a scalar loss through (mu_q, log var_q).
@@ -133,26 +181,7 @@ def encoder_backward(center, contexts, params: EncoderParams,
         raise ValueError("d_mu shape mismatch")
     if d_lv.shape != (params.W.shape[0],):
         raise ValueError("d_log_var shape mismatch")
-
-    X, A, h, _, _ = _forward(center, contexts, params)
-    dh = params.U.T @ d_mu + params.W.T @ d_lv
-    dA = (A > 0.0) * dh                               # C x d_h; dead units pass nothing
-    dM = dA.T @ X
-    dX = dA @ params.M                                # C x 2d
-    d = params.dim
-    grads = EncoderGrads(dM=dM,
-                         dU=np.outer(d_mu, h), db1=d_mu.copy(),
-                         dW=np.outer(d_lv, h), db2=d_lv.copy())
-    dR = grads.dR
-    for j, c in enumerate(contexts):
-        row = dR.get(c)
-        if row is None:
-            dR[c] = dX[j, :d].copy()
-        else:
-            row += dX[j, :d]
-    center_part = dX[:, d:].sum(axis=0)
-    if center in dR:
-        dR[center] += center_part
-    else:
-        dR[center] = center_part
-    return grads
+    ctx = np.array([contexts], dtype=np.intp)
+    acts, _, _ = encode_batch(np.array([center]), ctx, np.ones(ctx.shape, bool), params)
+    dense, rows = backward_batch(params, acts, d_mu[None], d_lv[None])
+    return EncoderGrads(**{f"d{k}": g for k, g in dense.items()}, dR=sum_rows(*rows))

@@ -1,9 +1,14 @@
+import hashlib
+
 import numpy as np
 import pytest
 
+from bayesgram import corpus, oracles
+from bayesgram.bsg import TrainConfig, data_rng
 from bayesgram.corpus import (CorpusError, Vocabulary, build_vocabulary,
-                              extract_windows, iter_documents, sample_negatives,
-                              subsample_stream)
+                              extract_windows, iter_documents,
+                              iter_training_batches, iter_training_windows,
+                              sample_negatives, subsample_stream)
 
 
 class TestBuildVocabulary:
@@ -185,3 +190,97 @@ class TestVocabularyIO:
         path.write_text("a\t3\nbroken-line\n")
         with pytest.raises(CorpusError, match="line 2"):
             Vocabulary.load(path)
+
+
+def stream_digest(stream):
+    """SHA-256 over (center, |pos|, |neg|, pos..., neg...) of every window."""
+    h = hashlib.sha256()
+    for center, positives, negatives in stream:
+        row = [center, len(positives), len(negatives), *positives, *negatives]
+        h.update(np.asarray(row, dtype=np.int64).tobytes())
+    return h.hexdigest()
+
+
+def reference_stream(path, vocab, window, k, rng):
+    """The per-window loop the vectorized stream replaced: one rng.random()
+    per token that may be subsampled, one rng.choice per window."""
+    for doc in iter_documents(path):
+        ids = [w for w in vocab.ids(doc)
+               if vocab.keep_prob[w] >= 1.0 or rng.random() < vocab.keep_prob[w]]
+        for i, center in enumerate(ids):
+            ctx = ids[max(0, i - window):i] + ids[i + 1:i + window + 1]
+            if ctx:
+                negs = rng.choice(len(vocab), size=k * len(ctx), p=vocab.neg_prob)
+                yield center, ctx, negs.tolist()
+
+
+class TestTrainingStream:
+    # recorded from the per-window stream (one rng.random() per subsampled
+    # token, one rng.choice per window) that the vectorized stream replaced
+    POLY_DIGESTS = {
+        1: "381072c90405fafe4a7c1ab005a4eb9dfed70745c4de5439ccc20335ceb0ca12",
+        2: "ef7d195a9b91f384b55618c9744e103951a4de7d6a48acc00c72fa710b7ec3e7",
+    }
+
+    @pytest.mark.parametrize("k,block", [(1, None), (2, None), (2, 3)])
+    def test_polysemy_stream_is_pinned(self, tmp_path, monkeypatch, k, block):
+        if block:   # documents split into blocks of 3 windows draw the same stream
+            monkeypatch.setattr(corpus, "_BLOCK", block)
+        path = tmp_path / "poly.txt"
+        spec = oracles.polysemy_spec(tokens_per_doc=1000, n_docs=20, seed=0)
+        oracles.write_synth_corpus(spec, path)
+        vocab = build_vocabulary(iter_documents(path), 1000, 1, t=1e-2)
+        rng = data_rng(TrainConfig(seed=0))
+        digest = stream_digest(iter_training_windows(path, vocab, 2, k, rng))
+        assert digest == self.POLY_DIGESTS[k]
+
+    @pytest.mark.parametrize("window,k,t,exponent", [
+        (1, 1, 1e-2, 1.0), (2, 3, 1e-3, 0.75), (3, 2, 1.0, 0.0), (5, 1, 1e-4, 1.0)])
+    def test_matches_per_window_reference(self, tmp_path, window, k, t, exponent):
+        path = tmp_path / "c.txt"
+        oracles.write_synth_corpus(oracles.polysemy_spec(tokens_per_doc=150, n_docs=5,
+                                                         seed=3), path)
+        path.write_text(path.read_text() + "oov\npoly0\n")     # one-token documents
+        vocab = build_vocabulary(iter_documents(path), 12, 1, t=t, neg_exponent=exponent)
+        got = iter_training_windows(path, vocab, window, k, np.random.default_rng(5))
+        ref = reference_stream(path, vocab, window, k, np.random.default_rng(5))
+        got, ref = list(got), list(ref)
+        assert got == ref and len(got) >= 20
+
+    def test_degenerate_documents_draw_no_negatives(self, tmp_path):
+        # "a" is never subsampled, "b" almost always is; "zz" is out of vocabulary
+        v = Vocabulary(["a", "b"], np.array([1, 10**9]), subsample_t=1e-9)
+        assert v.keep_prob[0] == 1.0 and v.keep_prob[1] < 1e-4
+        path = tmp_path / "c.txt"
+        path.write_text("b a b b\nzz zz\nzz\n")
+        rng = np.random.default_rng(0)
+        assert subsample_stream([1, 0, 1, 1], v, np.random.default_rng(0)) == [0]
+        assert list(iter_training_windows(path, v, 2, 3, rng)) == []
+        # exactly the three subsampling uniforms were drawn, nothing else
+        ref = np.random.default_rng(0)
+        ref.random(3)
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("batch_size", [1, 7, 50, 10**6])
+    def test_batches_close_at_batch_size_across_documents(self, tmp_path, batch_size):
+        path = tmp_path / "poly.txt"
+        spec = oracles.polysemy_spec(tokens_per_doc=60, n_docs=4, seed=1)
+        oracles.write_synth_corpus(spec, path)
+        vocab = build_vocabulary(iter_documents(path), 1000, 1, t=1e-2)
+        # reference: close a batch at the first window reaching batch_size tasks
+        expected, current, tasks = [], [], 0
+        for window in iter_training_windows(path, vocab, 2, 2, np.random.default_rng(4)):
+            current.append(window)
+            tasks += len(window[2])
+            if tasks >= batch_size:
+                expected.append(current)
+                current, tasks = [], 0
+        if current:
+            expected.append(current)
+        got = []
+        for centers, pos, neg, mask in iter_training_batches(
+                path, vocab, 2, 2, batch_size, np.random.default_rng(4)):
+            n = mask.sum(axis=1)
+            got.append([(c, p[:m].tolist(), q[:, :m].ravel().tolist())
+                        for c, p, q, m in zip(centers.tolist(), pos, neg, n)])
+        assert got == expected
