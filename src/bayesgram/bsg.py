@@ -22,15 +22,12 @@ from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it her
 from .encoder import (EncoderGrads, EncoderParams, backward_batch, encode_batch,
                       infer_posterior, init_encoder, sum_rows)
 from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
-from .gauss import Gaussian, kl_divergence
+from .gauss import _LOG_2PI, Gaussian, kl_divergence
 from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
            "init_bsg_model", "reparameterize", "batch_gradients", "window_loss",
            "window_loss_gradients", "elbo_estimate", "train"]
-
-_LOG_2PI = float(np.log(2.0 * np.pi))
-
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -55,7 +52,6 @@ class TrainConfig:
     hidden_dim: int = 0              # 0 -> same as dim
     neg_exponent: float = 1.0
     lowercase: bool = True
-    deterministic: bool = True
     param_dtype: str = "float32"     # storage, encoder forward; loss and grads in 64-bit
 
     def __post_init__(self):
@@ -264,7 +260,7 @@ def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
         raise ValueError("n_samples must be >= 1")
     q = model.posterior(center, contexts)
     eps = rng.standard_normal(size=(n_samples, model.dim))
-    z = q.mean + q.std_vector() * eps                     # n x d
+    z = reparameterize(q, eps)                            # n x d
     ctx_mu = model.ctx_mean.astype(np.float64)
     if model.cov_kind == "spherical":
         ctx_lv = np.repeat(model.ctx_log_var.astype(np.float64)[:, None],
@@ -281,10 +277,6 @@ def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
     for c in contexts:
         recon += scores[:, c] - log_norm
     return float(recon.mean()) - kl_divergence(q, model.prior_gaussian(center))
-
-
-def _zero_grad_buffers(params: dict) -> dict:
-    return {k: np.zeros(v.shape, dtype=np.float64) for k, v in params.items()}
 
 
 class _Telemetry:
@@ -332,15 +324,15 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
 
     grad_of_batch(centers, pos, neg, mask) returns the BatchGrads of a padded
     batch. A non-finite window loss raises NumericalError before the batch
-    touches any parameter; otherwise the gradients are scattered into dense
-    64-bit buffers, divided by the batch's window count in place, and Adam
-    steps. post_batch(params), when given, runs after every step (used for
+    touches any parameter; otherwise the gradients are scattered into the
+    optimizer's 64-bit gradient sums (opt.grads), and Adam steps on their
+    mean over the batch's windows, zeroing the sums as it goes.
+    post_batch(params), when given, runs after every step (used for
     projection/clipping). Deterministic given cfg.seed: the pipeline is a
     single sequential pass. Telemetry CSV goes to log_path or $BSG_LOG.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
-    buffers = _zero_grad_buffers(params)
     rng = data_rng(cfg)
     batch_idx = examples_seen = 0
     try:
@@ -353,15 +345,11 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                 if not np.all(np.isfinite(grads.losses)):
                     raise NumericalError(
                         "non-finite loss; " + _param_diagnostics(params, batch_idx))
-                grads.scatter(buffers)
+                grads.scatter(opt.grads)
                 n_windows = len(grads.losses)
-                for v in buffers.values():
-                    np.divide(v, n_windows, out=v)
-                opt.step(buffers)
+                opt.step(n_windows)
                 if post_batch is not None:
                     post_batch(params)
-                for v in buffers.values():
-                    v.fill(0.0)
                 batch_loss = float(grads.losses.sum())
                 examples_seen += int(mask.sum()) * neg.shape[1]   # k tasks per positive
                 telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)

@@ -70,8 +70,8 @@ def _build_parser():
     sp.add_argument("--format", choices=["text", "binary"], default="binary")
     sp.add_argument("--log", help="telemetry CSV path (default: $BSG_LOG)")
     sp.add_argument("--deterministic", action="store_true",
-                    help="guarantee bit-identical reruns for equal seeds")
-    sp.add_argument("--threads", type=int, default=1)
+                    help="no-op: runs are always deterministic (equal seeds "
+                         "give bit-identical models)")
     add_common_corpus(sp)
 
     sp = sub.add_parser("eval-sim", help="word similarity (Spearman rho)")
@@ -161,8 +161,7 @@ def _cmd_train(args):
         learning_rate=args.lr if args.lr is not None else 0.00055,
         epochs=args.epochs, seed=args.seed, objective=args.objective,
         cov_kind=args.cov, hidden_dim=args.hidden_dim,
-        neg_exponent=args.neg_exponent, lowercase=args.lowercase,
-        deterministic=args.deterministic)
+        neg_exponent=args.neg_exponent, lowercase=args.lowercase)
     epoch_losses = []
     if args.model == "bsg":
         model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
