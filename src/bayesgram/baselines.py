@@ -48,9 +48,6 @@ class W2gModel:
     var_lo: float = 1e-3
     var_hi: float = 10.0
 
-    def gaussian(self, w: int) -> Gaussian:
-        return Gaussian(self.mean[w], self.log_var[w])
-
     def param_arrays(self):
         return {"mean": self.mean, "log_var": self.log_var}
 

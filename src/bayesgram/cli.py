@@ -184,7 +184,7 @@ def _cmd_train(args):
 
 
 def _eval_model(path):
-    return serialize.model_from_bundle(serialize.load_model(path))
+    return serialize.embedding_view(serialize.load_model(path))
 
 
 def _cmd_eval_sim(args):
@@ -236,12 +236,8 @@ def _cmd_eval_direction(args):
 def _cmd_eval_lexsub(args):
     model = _eval_model(args.model)
     insts = evaluate.load_lexsub_instances(args.dataset)
-    gaps = []
-    skipped = 0
-    if args.ranker != "posterior":
-        means = {w: model.prior_gaussian(i).mean if hasattr(model, "prior_gaussian")
-                 else model.in_vec[i]
-                 for i, w in enumerate(model.vocab.words)}
+    gaps, skipped = [], 0
+    means = dict(zip(model.vocab.words, model.means))
     for inst in insts:
         try:
             if args.ranker == "posterior":

@@ -22,6 +22,7 @@ __all__ = [
     "iter_training_windows",
     "iter_training_batches",
     "single_window",
+    "context_tokens",
 ]
 
 
@@ -197,6 +198,11 @@ def extract_windows(tokens, window_size: int):
     centers, ctx, mask = _window_arrays(np.asarray(tokens, dtype=np.intp), window_size)
     return [Window(c, tuple(x[:m].tolist()))
             for c, x, m in zip(centers.tolist(), ctx, mask.sum(axis=1).tolist())]
+
+
+def context_tokens(tokens, i: int, window: int):
+    """The up to `window` tokens left of tokens[i], then those right of it."""
+    return list(tokens[max(0, i - window):i]) + list(tokens[i + 1:i + 1 + window])
 
 
 def sample_negatives(vocab: Vocabulary, k: int, rng: np.random.Generator):

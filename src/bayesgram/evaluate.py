@@ -5,10 +5,11 @@ entailment pairs are TSV `word1<TAB>word2<TAB>label` with label in {0,1};
 lexical-substitution instances are JSON lines with fields target,
 target_index, context_tokens, candidates, gold_weights.
 
-Model access goes through a small duck-typed surface: a vocab attribute,
-prior_gaussian(word_id), and (for the substitution task) posterior(center,
-contexts). Evaluations operate on prior densities except lexical
-substitution, which uses the inferred posterior.
+Every evaluation takes a model (BSG, SG, W2G, a bundle, or an
+`serialize.EmbeddingView`) and reads it through its embedding view: word
+rows are gathered by id and scored as arrays. Evaluations use the prior
+densities (W2G: its densities; SG: its input vectors, cosine only) except
+lexical substitution, which ranks by KL from the inferred posterior.
 """
 
 import json
@@ -16,7 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gauss import cosine, kl_divergence, log_det_cov
+from .corpus import context_tokens
+from .gauss import cosine, cosine_rows, kl_rows
+from .serialize import SerializationError, embedding_view
 
 __all__ = ["SimilarityPair", "EntailmentPair", "LexsubInstance",
            "spearman", "pearson", "eval_similarity", "best_f1_threshold",
@@ -66,16 +69,11 @@ def _ranks(xs):
     """Average ranks (1-based) with tie averaging."""
     xs = np.asarray(xs, dtype=np.float64)
     order = np.argsort(xs, kind="stable")
+    xs = xs[order]
+    first = np.flatnonzero(np.r_[True, xs[1:] != xs[:-1]])   # of each run of ties
+    last = np.r_[first[1:], len(xs)] - 1
     ranks = np.empty(len(xs))
-    i = 0
-    while i < len(xs):
-        j = i
-        while j + 1 < len(xs) and xs[order[j + 1]] == xs[order[i]]:
-            j += 1
-        avg = 0.5 * (i + j) + 1.0
-        for k in range(i, j + 1):
-            ranks[order[k]] = avg
-        i = j + 1
+    ranks[order] = np.repeat(0.5 * (first + last) + 1.0, last - first + 1)
     return ranks
 
 
@@ -85,9 +83,7 @@ def spearman(xs, ys) -> float:
         raise ValueError("length mismatch")
     if len(xs) < 2:
         raise ValueError("need at least 2 points")
-    if len(set(xs)) == 1 or len(set(ys)) == 1:
-        raise EvalError("undefined correlation: constant input")
-    return pearson(_ranks(xs), _ranks(ys))
+    return pearson(_ranks(xs), _ranks(ys))      # constant input: EvalError
 
 
 def pearson(xs, ys) -> float:
@@ -106,26 +102,26 @@ def pearson(xs, ys) -> float:
     return float(np.clip(np.sum(dx * dy) / (sx * sy), -1.0, 1.0))
 
 
+def _pair_ids(vocab, pairs):
+    """(in-vocabulary pairs, their word-id arrays i and j, number skipped)."""
+    ids = [(p, vocab.lookup(p.word1), vocab.lookup(p.word2)) for p in pairs]
+    used = [t for t in ids if t[1] is not None and t[2] is not None]
+    i, j = (np.array([t[c] for t in used], dtype=np.intp) for c in (1, 2))
+    return [t[0] for t in used], i, j, len(ids) - len(used)
+
+
 def eval_similarity(model, pairs):
     """Spearman rho of cosine(prior means) vs gold scores.
 
     Returns (rho, n_used, n_oov); pairs with either word out of vocabulary
     are skipped and counted.
     """
-    vocab = model.vocab
-    sys_scores, gold = [], []
-    n_oov = 0
-    for p in pairs:
-        i, j = vocab.lookup(p.word1), vocab.lookup(p.word2)
-        if i is None or j is None:
-            n_oov += 1
-            continue
-        sys_scores.append(cosine(model.prior_gaussian(i).mean,
-                                 model.prior_gaussian(j).mean))
-        gold.append(p.gold)
-    if not sys_scores:
+    view = embedding_view(model)
+    used, i, j, n_oov = _pair_ids(view.vocab, pairs)
+    if not used:
         raise EvalError(f"no usable pairs ({n_oov} out of vocabulary)")
-    return spearman(sys_scores, gold), len(sys_scores), n_oov
+    scores = cosine_rows(view.mean_rows(i), view.mean_rows(j))
+    return spearman(scores, [p.gold for p in used]), len(used), n_oov
 
 
 def best_f1_threshold(scores, labels):
@@ -136,28 +132,20 @@ def best_f1_threshold(scores, labels):
     """
     if len(scores) != len(labels):
         raise ValueError("length mismatch")
-    labels = [bool(b) for b in labels]
-    if not any(labels):
+    labels = np.asarray(labels, dtype=bool).reshape(-1)
+    if not labels.any():
         raise EvalError("no positive labels")
-    distinct = sorted(set(float(s) for s in scores))
-    candidates = [-np.inf]
-    candidates += [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
-    candidates.append(np.inf)
-    best_t, best_f1 = None, -1.0
-    for t in sorted(candidates):
-        tp = fp = fn = 0
-        for s, y in zip(scores, labels):
-            pred = s >= t
-            if pred and y:
-                tp += 1
-            elif pred:
-                fp += 1
-            elif y:
-                fn += 1
-        f1 = 2 * tp / (2 * tp + fp + fn) if tp else 0.0
-        if f1 > best_f1:
-            best_t, best_f1 = t, f1
-    return best_t, best_f1
+    scores = np.asarray(scores, dtype=np.float64).reshape(-1)
+    order = np.argsort(scores, kind="stable")
+    scores = scores[order]
+    pos_below = np.r_[0, np.cumsum(labels[order])]   # positives among the i lowest
+    distinct = np.unique(scores)
+    candidates = np.sort(np.r_[-np.inf, 0.5 * (distinct[:-1] + distinct[1:]), np.inf])
+    below = np.searchsorted(scores, candidates, side="left")   # count of s < t
+    tp = pos_below[-1] - pos_below[below]
+    f1 = 2 * tp / (len(scores) - below + pos_below[-1])   # 2tp / (2tp + fp + fn)
+    best = int(np.argmax(f1))       # the first, i.e. lowest, best threshold
+    return float(candidates[best]), float(f1[best])
 
 
 def eval_entailment(model, pairs, measure: str = "neg_kl"):
@@ -169,24 +157,17 @@ def eval_entailment(model, pairs, measure: str = "neg_kl"):
     """
     if measure not in ("neg_kl", "cosine"):
         raise ValueError(f"unknown measure {measure!r}")
-    vocab = model.vocab
-    scores, labels = [], []
-    n_oov = 0
-    for p in pairs:
-        i, j = vocab.lookup(p.word1), vocab.lookup(p.word2)
-        if i is None or j is None:
-            n_oov += 1
-            continue
-        g1, g2 = model.prior_gaussian(i), model.prior_gaussian(j)
-        if measure == "neg_kl":
-            scores.append(-kl_divergence(g1, g2))
-        else:
-            scores.append(cosine(g1.mean, g2.mean))
-        labels.append(p.label)
-    if not scores:
+    view = embedding_view(model)
+    used, i, j, n_oov = _pair_ids(view.vocab, pairs)
+    if not used:
         raise EvalError(f"no usable pairs ({n_oov} out of vocabulary)")
+    if measure == "neg_kl":
+        scores = -kl_rows(*view.density_rows(i), *view.density_rows(j))
+    else:
+        scores = cosine_rows(view.mean_rows(i), view.mean_rows(j))
+    labels = [p.label for p in used]
     threshold, f1 = best_f1_threshold(scores, labels)
-    return f1, threshold, scores, labels, n_oov
+    return f1, threshold, scores.tolist(), labels, n_oov
 
 
 def eval_directionality(model, pairs):
@@ -196,19 +177,12 @@ def eval_directionality(model, pairs):
     exact ties predict w1 -> w2. Pairs are assumed gold-labelled as
     (hyponym, hypernym); OOV pairs are skipped.
     """
-    vocab = model.vocab
-    correct = total = 0
-    for p in pairs:
-        i, j = vocab.lookup(p.word1), vocab.lookup(p.word2)
-        if i is None or j is None:
-            continue
-        g1, g2 = model.prior_gaussian(i), model.prior_gaussian(j)
-        predict_forward = kl_divergence(g1, g2) <= kl_divergence(g2, g1)
-        correct += int(predict_forward)
-        total += 1
-    if total == 0:
+    view = embedding_view(model)
+    used, i, j, _ = _pair_ids(view.vocab, pairs)
+    if not used:
         raise EvalError("no usable pairs")
-    return correct / total
+    p1, p2 = view.density_rows(i), view.density_rows(j)
+    return int(np.sum(kl_rows(*p1, *p2) <= kl_rows(*p2, *p1))) / len(used)
 
 
 def frequency_direction_baseline(vocab, pairs):
@@ -216,17 +190,10 @@ def frequency_direction_baseline(vocab, pairs):
 
     Returns (accuracy, n_used, n_skipped); count ties predict w1 -> w2.
     """
-    correct = total = skipped = 0
-    for p in pairs:
-        i, j = vocab.lookup(p.word1), vocab.lookup(p.word2)
-        if i is None or j is None:
-            skipped += 1
-            continue
-        correct += int(vocab.counts[i] <= vocab.counts[j])
-        total += 1
-    if total == 0:
+    used, i, j, skipped = _pair_ids(vocab, pairs)
+    if not used:
         raise EvalError("no usable pairs")
-    return correct / total, total, skipped
+    return int(np.sum(vocab.counts[i] <= vocab.counts[j])) / len(used), len(used), skipped
 
 
 def lexsub_rank(model, inst: LexsubInstance, window: int):
@@ -236,28 +203,25 @@ def lexsub_rank(model, inst: LexsubInstance, window: int):
     target occurrence; candidates sort ascending by KL[q || prior(s)].
     Out-of-vocabulary candidates go last, in input order, with score None.
     """
-    vocab = model.vocab
+    view = embedding_view(model)
+    if view.posterior is None:
+        raise SerializationError("no encoder: model kind is not bsg")
+    vocab = view.vocab
     target_id = vocab.lookup(inst.target)
     if target_id is None:
         raise EvalError(f"target {inst.target!r} out of vocabulary")
-    i = inst.target_index
-    ctx_tokens = (list(inst.context_tokens[max(0, i - window):i])
-                  + list(inst.context_tokens[i + 1:i + 1 + window]))
-    ctx_ids = vocab.ids(ctx_tokens)
+    ctx_ids = vocab.ids(context_tokens(inst.context_tokens, inst.target_index, window))
     if not ctx_ids:
         raise EvalError("no usable context")
-    q = model.posterior(target_id, ctx_ids)
-    scored, oov = [], []
-    for pos, cand in enumerate(inst.candidates):
-        cid = vocab.lookup(cand)
-        if cid is None:
-            oov.append((cand, None))
-        else:
-            scored.append((pos, cand, kl_divergence(q, model.prior_gaussian(cid))))
-    if not scored:
+    q = view.posterior(target_id, ctx_ids)
+    ids = [vocab.lookup(c) for c in inst.candidates]
+    known = [c for c, cid in zip(inst.candidates, ids) if cid is not None]
+    if not known:
         raise EvalError("all candidates out of vocabulary")
-    scored.sort(key=lambda t: (t[2], t[0]))
-    return [(cand, score) for _, cand, score in scored] + oov
+    kl = kl_rows(q.mean, q.log_var_vector(),
+                 *view.density_rows([cid for cid in ids if cid is not None]))
+    return ([(known[r], float(kl[r])) for r in np.argsort(kl, kind="stable")]
+            + [(c, None) for c, cid in zip(inst.candidates, ids) if cid is None])
 
 
 def gap(ranked_gold_weights, all_gold_weights) -> float:
@@ -299,10 +263,9 @@ def add_mult_baseline(vectors, inst: LexsubInstance, window: int,
     if inst.target not in vectors:
         raise EvalError(f"target {inst.target!r} out of vocabulary")
     t = vectors[inst.target]
-    i = inst.target_index
-    ctx_tokens = (list(inst.context_tokens[max(0, i - window):i])
-                  + list(inst.context_tokens[i + 1:i + 1 + window]))
-    ctx_vecs = [vectors[c] for c in ctx_tokens if c in vectors]
+    ctx_vecs = [vectors[c] for c in context_tokens(inst.context_tokens,
+                                                   inst.target_index, window)
+                if c in vectors]
     scored, oov = [], []
     for pos, cand in enumerate(inst.candidates):
         if cand not in vectors:
@@ -330,12 +293,13 @@ def logdet_frequency_report(model, vocab, out=None):
     Writes CSV to the `out` stream when given. Returns (rows, r) with
     r = None when the correlation is undefined (constant log-dets).
     """
-    rows = []
-    for i, w in enumerate(vocab.words):
-        rows.append((w, float(np.log(vocab.counts[i])),
-                     log_det_cov(model.prior_gaussian(i))))
+    view = embedding_view(model)
+    log_counts = np.log(vocab.counts)
+    log_dets = np.concatenate([np.sum(np.broadcast_to(lv, mu.shape), axis=1)
+                               for mu, lv in view.blocks(view.density_rows)])
+    rows = list(zip(vocab.words, log_counts.tolist(), log_dets.tolist()))
     try:
-        r = pearson([x[1] for x in rows], [x[2] for x in rows])
+        r = pearson(log_counts[:len(rows)], log_dets[:len(rows)])
     except EvalError:
         r = None
     if out is not None:
@@ -346,32 +310,25 @@ def logdet_frequency_report(model, vocab, out=None):
     return rows, r
 
 
-def load_similarity_pairs(path):
-    pairs = []
+def _tsv_rows(path, what, valid=lambda parts: True):
+    """The tab-separated fields of each non-blank line, three per line."""
     with open(path, encoding="utf-8") as f:
         for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
+            parts = line.strip().split("\t")
+            if parts == [""]:
                 continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise EvalError(f"malformed similarity line {lineno}: {line!r}")
-            pairs.append(SimilarityPair(parts[0], parts[1], float(parts[2])))
-    return pairs
+            if len(parts) != 3 or not valid(parts):
+                raise EvalError(f"malformed {what} line {lineno}: {line.strip()!r}")
+            yield parts
+
+
+def load_similarity_pairs(path):
+    return [SimilarityPair(a, b, float(s)) for a, b, s in _tsv_rows(path, "similarity")]
 
 
 def load_entailment_pairs(path):
-    pairs = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or parts[2] not in ("0", "1"):
-                raise EvalError(f"malformed entailment line {lineno}: {line!r}")
-            pairs.append(EntailmentPair(parts[0], parts[1], parts[2] == "1"))
-    return pairs
+    return [EntailmentPair(a, b, y == "1")
+            for a, b, y in _tsv_rows(path, "entailment", lambda p: p[2] in ("0", "1"))]
 
 
 def load_lexsub_instances(path):

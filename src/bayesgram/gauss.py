@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Gaussian", "kl_divergence", "log_density", "cosine", "log_det_cov"]
+__all__ = ["Gaussian", "kl_divergence", "kl_rows", "log_density", "cosine",
+           "cosine_rows", "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -59,17 +60,18 @@ def _check_dims(p: Gaussian, q: Gaussian):
 
 
 def kl_divergence(p: Gaussian, q: Gaussian) -> float:
-    """D_KL[p || q] for diagonal Gaussians, in closed form.
-
-    0.5 * sum_d [ s1/s2 + (mu2-mu1)^2/s2 - 1 + log(s2/s1) ]
-    with s = variance per coordinate.
-    """
+    """D_KL[p || q] for diagonal Gaussians, in closed form (see kl_rows)."""
     _check_dims(p, q)
-    lv1 = p.log_var_vector()
-    lv2 = q.log_var_vector()
-    dmu = q.mean - p.mean
+    return float(kl_rows(p.mean, p.log_var_vector(), q.mean, q.log_var_vector()))
+
+
+def kl_rows(mu1, lv1, mu2, lv2):
+    """KL[N(mu1, e^lv1) || N(mu2, e^lv2)] along the last axis, broadcasting:
+    0.5 * sum_d [ s1/s2 + (mu2-mu1)^2/s2 - 1 + log(s2/s1) ], s the variances.
+    A log-variance with a last axis of 1 is spherical."""
+    dmu = mu2 - mu1
     terms = np.exp(lv1 - lv2) + dmu * dmu * np.exp(-lv2) - 1.0 + (lv2 - lv1)
-    return float(0.5 * np.sum(terms))
+    return 0.5 * np.sum(terms, axis=-1)
 
 
 def log_density(g: Gaussian, z: np.ndarray) -> float:
@@ -88,11 +90,16 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu == 0.0 or nv == 0.0:
+    return float(cosine_rows(u, v))
+
+
+def cosine_rows(u, v):
+    """Cosine along the last axis, broadcasting; every row sums the same way."""
+    nu = np.sqrt(np.sum(u * u, axis=-1))
+    nv = np.sqrt(np.sum(v * v, axis=-1))
+    if np.any(nu == 0.0) or np.any(nv == 0.0):
         raise ValueError("undefined cosine: zero vector")
-    return float(np.clip(np.dot(u, v) / (nu * nv), -1.0, 1.0))
+    return np.clip(np.sum(u * v, axis=-1) / (nu * nv), -1.0, 1.0)
 
 
 def log_det_cov(g: Gaussian) -> float:

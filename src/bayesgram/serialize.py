@@ -1,4 +1,4 @@
-"""Model bundle serialization plus model inspection (nearest, infer).
+"""Model bundle serialization plus model inspection (embedding view, nearest, infer).
 
 Two on-disk formats share one logical schema:
 
@@ -19,12 +19,13 @@ import numpy as np
 
 from .baselines import SgModel, W2gModel
 from .bsg import BsgModel
-from .corpus import Vocabulary
+from .corpus import Vocabulary, context_tokens
 from .encoder import EncoderParams
-from .gauss import Gaussian, kl_divergence, cosine
+from .gauss import Gaussian, cosine_rows, kl_rows
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
-           "model_from_bundle", "save_model", "load_model", "nearest", "infer"]
+           "model_from_bundle", "save_model", "load_model", "EmbeddingView",
+           "embedding_view", "nearest", "infer"]
 
 FORMAT_VERSION = 1
 MAGIC = b"BSG1"
@@ -338,49 +339,88 @@ def load_model(path) -> ModelBundle:
 
 # ----------------------------------------------------------------- inspection
 
-def _means_table(bundle):
-    if bundle.model_kind == "bsg":
-        return bundle.arrays["prior_mean"]
-    if bundle.model_kind == "sg":
-        return bundle.arrays["in_vec"]
-    return bundle.arrays["mean"]
+# float64 values per temporary of a whole-table scan (96 KB): small enough that
+# the allocator reuses freed memory instead of mapping in fresh pages each block
+BLOCK_FLOATS = 12_288
 
 
-def _gaussian(bundle, idx):
-    if bundle.model_kind == "bsg":
-        return Gaussian(bundle.arrays["prior_mean"][idx],
-                        bundle.arrays["prior_log_var"][idx])
-    if bundle.model_kind == "w2g":
-        return Gaussian(bundle.arrays["mean"][idx], bundle.arrays["log_var"][idx])
-    raise SerializationError("model has no density embeddings")
+@dataclass(frozen=True)
+class EmbeddingView:
+    """The word tables that nearest and every evaluation read, shared with the
+    model: means V x d; log_vars V x 1 (spherical), V x d, or None for point
+    vectors; posterior(center, contexts), the encoder's density, or None."""
+    vocab: Vocabulary
+    means: np.ndarray
+    log_vars: np.ndarray = None
+    posterior: object = None
+
+    def __post_init__(self):    # a spherical V-vector becomes a V x 1 column
+        if self.log_vars is not None:
+            lv = np.reshape(self.log_vars, (len(self.means), -1))
+            object.__setattr__(self, "log_vars", lv)
+
+    def mean_rows(self, ids):
+        """Means of `ids` (an index array or a slice) in float64."""
+        return _finite(self.means[ids])
+
+    def density_rows(self, ids):
+        """(means, log-variances) of `ids` in float64."""
+        if self.log_vars is None:
+            raise SerializationError("model has no density embeddings")
+        return _finite(self.means[ids]), _finite(self.log_vars[ids])
+
+    def blocks(self, rows):
+        """rows(block) over consecutive blocks of BLOCK_FLOATS // d words."""
+        n = max(1, BLOCK_FLOATS // self.means.shape[1])
+        return (rows(slice(lo, lo + n)) for lo in range(0, len(self.means), n))
+
+
+def _finite(rows):
+    rows = np.asarray(rows, dtype=np.float64)
+    if not np.all(np.isfinite(rows)):
+        raise ValueError("embedding parameters must be finite")
+    return rows
+
+
+def embedding_view(source) -> EmbeddingView:
+    """The view of a bundle or a live model: BSG's prior tables, W2G's tables,
+    SG's input vectors. Any other object passes its own vocab, means,
+    log_vars and posterior."""
+    if isinstance(source, ModelBundle):
+        source = model_from_bundle(source)
+    if isinstance(source, BsgModel):
+        return EmbeddingView(source.vocab, source.prior_mean, source.prior_log_var,
+                             source.posterior)
+    if isinstance(source, W2gModel):
+        return EmbeddingView(source.vocab, source.mean, source.log_var)
+    if isinstance(source, SgModel):
+        return EmbeddingView(source.vocab, source.in_vec)
+    return EmbeddingView(source.vocab, np.asarray(source.means), source.log_vars,
+                         getattr(source, "posterior", None))
 
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
-    """Top-k neighbors of `word` by cosine of means or by negated KL.
-
-    Ties order by word id; the query itself is excluded.
-    """
+    """Top-k neighbors of `word` by cosine of means or by negated KL, scored in
+    float64 blocks (see BLOCK_FLOATS). Ties order by word id; the query
+    itself is excluded."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
         raise ValueError(f"unknown measure {measure!r}")
-    qid = bundle.vocab.lookup(word)
+    view = embedding_view(bundle)
+    qid = view.vocab.lookup(word)
     if qid is None:
         raise KeyError(f"word {word!r} out of vocabulary")
-    scores = []
     if measure == "cosine_mean":
-        means = _means_table(bundle)
-        qv = means[qid]
-        for i in range(len(bundle.vocab)):
-            if i != qid:
-                scores.append((i, cosine(qv, means[i])))
+        q = view.mean_rows(qid)
+        scores = [cosine_rows(q, m) for m in view.blocks(view.mean_rows)]
     else:
-        qg = _gaussian(bundle, qid)
-        for i in range(len(bundle.vocab)):
-            if i != qid:
-                scores.append((i, -kl_divergence(qg, _gaussian(bundle, i))))
-    scores.sort(key=lambda t: (-t[1], t[0]))
-    return [(bundle.vocab.word(i), s) for i, s in scores[:k]]
+        q_mu, q_lv = view.density_rows(qid)
+        scores = [-kl_rows(q_mu, q_lv, mu, lv)
+                  for mu, lv in view.blocks(view.density_rows)]
+    scores = np.concatenate(scores)
+    order = np.argsort(-scores, kind="stable")      # best first, ties by word id
+    return [(view.vocab.word(i), float(scores[i])) for i in order[order != qid][:k]]
 
 
 def infer(bundle: ModelBundle, sentence, target_index: int, window: int) -> Gaussian:
@@ -393,10 +433,7 @@ def infer(bundle: ModelBundle, sentence, target_index: int, window: int) -> Gaus
     tid = model.vocab.lookup(sentence[target_index])
     if tid is None:
         raise KeyError(f"target {sentence[target_index]!r} out of vocabulary")
-    i = target_index
-    ctx_tokens = (list(sentence[max(0, i - window):i])
-                  + list(sentence[i + 1:i + 1 + window]))
-    ctx_ids = model.vocab.ids(ctx_tokens)
+    ctx_ids = model.vocab.ids(context_tokens(sentence, target_index, window))
     if not ctx_ids:
         raise ValueError("no usable context")
     return model.posterior(tid, ctx_ids)

@@ -192,3 +192,56 @@ class TestSelftest:
         out = capsys.readouterr().out
         assert "selftest OK" in out
         assert out.count("PASS") == 2
+
+
+@pytest.fixture(scope="module")
+def kind_models(workdir):
+    """The workdir's bsg model plus an sg, w2g_s and w2g_d model of the same corpus."""
+    models = {"bsg": workdir / "model.bin"}
+    for kind in ("sg", "w2g_s", "w2g_d"):
+        models[kind] = workdir / f"{kind}.bin"
+        assert main(["train", str(workdir / "corpus.txt"), "--out", str(models[kind]),
+                     "--model", kind, "--dim", "4", "--window", "2", "--epochs", "1",
+                     "--batch-size", "256", "--subsample-t", "0.01", "--seed", "1"]) == 0
+    return models
+
+
+# case name -> command line after `bayesgram`, with the model path as {model}
+READ_COMMANDS = {
+    "eval-sim": ["eval-sim", "{model}", "{sim}"],
+    "eval-entail": ["eval-entail", "{model}", "{entail}"],
+    "eval-entail-cosine": ["eval-entail", "{model}", "{entail}", "--measure", "cosine"],
+    "eval-direction": ["eval-direction", "{model}", "{entail}"],
+    "eval-lexsub": ["eval-lexsub", "{model}", "{lexsub}", "--window", "2"],
+    "eval-lexsub-add": ["eval-lexsub", "{model}", "{lexsub}", "--window", "2",
+                        "--ranker", "add"],
+    "eval-lexsub-mult": ["eval-lexsub", "{model}", "{lexsub}", "--window", "2",
+                         "--ranker", "mult"],
+    "report-logdet": ["report-logdet", "{model}"],
+    "nearest": ["nearest", "{model}", "mono0", "-k", "3"],
+    "nearest-neg_kl": ["nearest", "{model}", "mono0", "-k", "3", "--measure", "neg_kl"],
+}
+# the commands that need densities or an encoder, and the error they give
+REFUSED = {("sg", "eval-entail"), ("sg", "eval-direction"), ("sg", "report-logdet"),
+           ("sg", "nearest-neg_kl"), ("sg", "eval-lexsub"), ("w2g_s", "eval-lexsub"),
+           ("w2g_d", "eval-lexsub")}
+
+
+class TestEveryKind:
+    @pytest.mark.parametrize("kind", ["bsg", "sg", "w2g_s", "w2g_d"])
+    @pytest.mark.parametrize("name", sorted(READ_COMMANDS))
+    def test_command(self, workdir, kind_models, kind, name, capsys):
+        paths = {"model": str(kind_models[kind]), "sim": str(workdir / "sim.tsv"),
+                 "entail": str(workdir / "entail.tsv"),
+                 "lexsub": str(workdir / "lexsub.jsonl")}
+        code = main([a.format(**paths) for a in READ_COMMANDS[name]])
+        out, err = capsys.readouterr()
+        assert code in (0, 2)
+        assert "Traceback" not in err
+        assert sum(line.startswith("error:") for line in err.splitlines()) <= 1
+        if (kind, name) in REFUSED:
+            assert code == 2
+            assert err in ("error: model has no density embeddings\n",
+                           "error: no encoder: model kind is not bsg\n")
+        else:
+            assert code == 0 and out and not err
