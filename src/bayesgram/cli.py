@@ -237,7 +237,7 @@ def _cmd_eval_lexsub(args):
     model = _eval_model(args.model)
     insts = evaluate.load_lexsub_instances(args.dataset)
     gaps, skipped = [], 0
-    means = dict(zip(model.vocab.words, model.means))
+    means = dict(zip(model.vocab.words, model.means)) if args.ranker != "posterior" else None
     for inst in insts:
         try:
             if args.ranker == "posterior":
