@@ -9,20 +9,20 @@ entailment directionality, and lexical substitution, and brute-force
 oracles validating the analytic code paths.
 """
 
-from .bsg import BsgModel, TrainConfig, elbo_estimate, reparameterize, train, \
-    window_loss, window_loss_gradients
-from .corpus import Vocabulary, build_vocabulary, extract_windows, \
-    iter_documents, sample_negatives, subsample_stream
+from .bsg import BatchGrads, BsgModel, TrainConfig, batch_gradients, elbo_estimate, \
+    reparameterize, train
+from .corpus import Vocabulary, build_vocabulary, iter_documents, sample_negatives, \
+    single_window, subsample_stream
 from .encoder import EncoderParams, encoder_backward, infer_posterior, init_encoder
 from .gauss import Gaussian, cosine, kl_divergence, log_density, log_det_cov
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BsgModel", "TrainConfig", "train", "window_loss", "window_loss_gradients",
+    "BsgModel", "TrainConfig", "train", "BatchGrads", "batch_gradients",
     "elbo_estimate", "reparameterize",
     "Vocabulary", "build_vocabulary", "iter_documents", "subsample_stream",
-    "extract_windows", "sample_negatives",
+    "sample_negatives", "single_window",
     "EncoderParams", "init_encoder", "infer_posterior", "encoder_backward",
     "Gaussian", "kl_divergence", "log_density", "cosine", "log_det_cov",
 ]

@@ -14,12 +14,9 @@ import numpy as np
 
 from .bsg import (BatchGrads, TrainConfig, _fold, _gather, _kl_parts, init_rng,
                   run_training_loop)
-from .corpus import Vocabulary, single_window
-from .gauss import Gaussian
+from .corpus import Vocabulary
 
-__all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "sg_window_loss",
-           "sg_window_gradients", "w2g_energy", "w2g_energy_gradients",
-           "w2g_batch_gradients", "w2g_window_loss", "w2g_window_gradients",
+__all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "w2g_batch_gradients",
            "clip_params", "train_baseline"]
 
 BASELINE_LEARNING_RATES = {"sg": 0.0015, "w2g_s": 0.0065, "w2g_d": 0.0015}
@@ -81,29 +78,10 @@ def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
     return BatchGrads(losses, {"in_vec": (centers, dv), "out_vec": (out_ids, d_out)})
 
 
-def sg_window_loss(model: SgModel, center, positives, negatives) -> float:
-    """Negative-sampling skip-gram loss for one window."""
-    batch = single_window(center, positives, negatives)
-    return float(sg_batch_gradients(model, *batch, want_grads=False).losses[0])
-
-
-def sg_window_gradients(model: SgModel, center, positives, negatives, buffers):
-    """Accumulate exact SG gradients into dense buffers; returns the loss."""
-    g = sg_batch_gradients(model, *single_window(center, positives, negatives))
-    g.scatter(buffers)
-    return float(g.losses[0])
-
-
-def w2g_energy(a: Gaussian, b: Gaussian, kind: str) -> float:
-    """Similarity energy between two Gaussians (higher = more similar)."""
-    return w2g_energy_gradients(a, b, kind)[0]
-
-
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
-    """Energy over the last axis plus partials w.r.t. (mu_a, lv_a, mu_b, lv_b),
-    broadcasting with spherical (..., 1) log-variances as bsg._kl_parts does."""
-    if mu_a.shape[-1] != mu_b.shape[-1]:
-        raise ValueError("dimension mismatch")
+    """W2G energy over the last axis (higher = more similar) plus partials
+    w.r.t. (mu_a, lv_a, mu_b, lv_b), broadcasting with spherical (..., 1)
+    log-variances as bsg._kl_parts does."""
     if kind == "expected_likelihood":
         va = np.exp(lv_a)
         vb = np.exp(lv_b)
@@ -119,14 +97,6 @@ def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
         val, g_mu1, g_lv1, g_lv2 = _kl_parts(mu_b, lv_b, mu_a, lv_a)
         return -val, (g_mu1, -g_lv2, -g_mu1, -g_lv1)
     raise ValueError(f"unknown energy kind {kind!r}")
-
-
-def w2g_energy_gradients(a: Gaussian, b: Gaussian, kind: str):
-    """(energy, d/d mu_a, d/d lv_a, d/d mu_b, d/d lv_b)."""
-    val, (g_mu_a, g_lva, g_mu_b, g_lvb) = _energy_parts(
-        a.mean, a.log_var.reshape(-1), b.mean, b.log_var.reshape(-1), kind)
-    return (float(val), g_mu_a, g_lva.reshape(a.log_var.shape), g_mu_b,
-            g_lvb.reshape(b.log_var.shape))
 
 
 def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
@@ -157,21 +127,6 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
 
     return BatchGrads(losses, {"mean": rows(ga_p, gb_p, ga_n, gb_n),
                                "log_var": rows(gla_p, glb_p, gla_n, glb_n)})
-
-
-def w2g_window_loss(model: W2gModel, center, positives, negatives,
-                    margin: float) -> float:
-    """Max-margin ranking loss over positive/negative energies."""
-    batch = single_window(center, positives, negatives)
-    return float(w2g_batch_gradients(model, *batch, margin, want_grads=False).losses[0])
-
-
-def w2g_window_gradients(model: W2gModel, center, positives, negatives,
-                         margin: float, buffers) -> float:
-    """Accumulate exact W2G gradients into dense buffers; returns the loss."""
-    g = w2g_batch_gradients(model, *single_window(center, positives, negatives), margin)
-    g.scatter(buffers)
-    return float(g.losses[0])
 
 
 def clip_params(model: W2gModel) -> W2gModel:

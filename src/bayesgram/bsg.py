@@ -17,17 +17,17 @@ from functools import partial
 
 import numpy as np
 
-from .corpus import Vocabulary, iter_training_batches, single_window
+from .corpus import Vocabulary, iter_training_batches
 from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it here)
-from .encoder import (EncoderGrads, EncoderParams, backward_batch, encode_batch,
-                      infer_posterior, init_encoder, sum_rows)
+from .encoder import (EncoderParams, backward_batch, encode_batch, infer_posterior,
+                      init_encoder)
 from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
 from .gauss import _LOG_2PI, Gaussian, kl_divergence
 from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
-           "init_bsg_model", "reparameterize", "batch_gradients", "window_loss",
-           "window_loss_gradients", "elbo_estimate", "train"]
+           "init_bsg_model", "reparameterize", "batch_gradients", "elbo_estimate",
+           "train"]
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -173,7 +173,8 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
                     want_grads: bool = True) -> BatchGrads:
     """Losses of a padded batch of windows and, if wanted, their gradients.
 
-    Batch layout as in corpus.iter_training_batches. A window's loss is
+    Batch layout as in corpus.iter_training_batches; corpus.single_window
+    makes one window a batch of one. A window's loss is
     KL(q || prior[center]) plus, per pair (positive j, negative r*n + j),
     max(0, KL(q || pos) - KL(q || neg) + margin), or the plain difference
     for the soft objective.
@@ -209,40 +210,6 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
             "ctx_mean": (ctx_ids, ctx_mu), "ctx_log_var": (ctx_ids, ctx_lv),
             "enc_R": enc_rows}
     return BatchGrads(losses, rows, {f"enc_{k}": g for k, g in enc_dense.items()})
-
-
-@dataclass
-class WindowGrads:
-    """Gradients of one window loss, sparse over the word tables."""
-
-    loss: float
-    enc: object
-    prior: dict = field(default_factory=dict)  # word id -> (d_mean, d_log_var)
-    ctx: dict = field(default_factory=dict)
-
-
-def window_loss(model: BsgModel, center, positives, negatives,
-                cfg: TrainConfig) -> float:
-    """Margin (or soft) loss of one training window: batch_gradients at B = 1."""
-    g = batch_gradients(model, *single_window(center, positives, negatives), cfg, False)
-    return float(g.losses[0])
-
-
-def window_loss_gradients(model: BsgModel, center, positives, negatives,
-                          cfg: TrainConfig) -> WindowGrads:
-    """Loss plus exact gradients; inactive hinge terms contribute nothing."""
-    g = batch_gradients(model, *single_window(center, positives, negatives), cfg)
-
-    def table(mean, lv):            # {word id: [d_mean, d_log_var]}
-        ids, g_mu = g.rows[mean]
-        lvs = sum_rows(ids, g.rows[lv][1].reshape(getattr(model, lv)[ids].shape))
-        return {w: [m, lvs[w]] for w, m in sum_rows(ids, g_mu).items()}
-
-    enc = EncoderGrads(**{"d" + k[4:]: v for k, v in g.dense.items()},
-                       dR=sum_rows(*g.rows["enc_R"]))
-    return WindowGrads(loss=float(g.losses[0]), enc=enc,
-                       prior=table("prior_mean", "prior_log_var"),
-                       ctx=table("ctx_mean", "ctx_log_var"))
 
 
 def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,

@@ -53,9 +53,9 @@ def _build_parser():
                     help="negatives per positive")
     sp.add_argument("--margin", type=float, default=1.0)
     sp.add_argument("--batch-size", type=int, default=22000)
-    sp.add_argument("--lr", type=float, default=None,
-                    help="default: 0.00055 bsg, 0.0015 sg, 0.0065 w2g_s, "
-                         "0.0015 w2g_d")
+    rates = {"bsg": bsg.TrainConfig.learning_rate, **baselines.BASELINE_LEARNING_RATES}
+    sp.add_argument("--lr", type=float, default=None, help="default: " + ", ".join(
+        f"{lr} {kind}" for kind, lr in rates.items()))
     sp.add_argument("--epochs", type=int, default=1)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--objective", choices=["hinge", "soft"], default="hinge")
@@ -132,33 +132,28 @@ def _build_parser():
     return p
 
 
-def _load_vocab_or_build(args):
-    if args.vocab:
-        return Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
-                               neg_table_exponent=args.neg_exponent)
-    stream = iter_documents(args.corpus, lowercase=args.lowercase)
-    return build_vocabulary(stream, max_size=args.max_size,
-                            min_count=args.min_count, t=args.subsample_t,
-                            neg_exponent=args.neg_exponent)
+def _build_vocab(args):
+    return build_vocabulary(iter_documents(args.corpus, lowercase=args.lowercase),
+                            max_size=args.max_size, min_count=args.min_count,
+                            t=args.subsample_t, neg_exponent=args.neg_exponent)
 
 
 def _cmd_build_vocab(args):
-    stream = iter_documents(args.corpus, lowercase=args.lowercase)
-    vocab = build_vocabulary(stream, max_size=args.max_size,
-                             min_count=args.min_count, t=args.subsample_t,
-                             neg_exponent=args.neg_exponent)
+    vocab = _build_vocab(args)
     vocab.save(args.out)
     print(f"vocabulary: {len(vocab)} words, {int(vocab.counts.sum())} tokens "
           f"-> {args.out}")
 
 
 def _cmd_train(args):
-    vocab = _load_vocab_or_build(args)
+    vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
+                             neg_table_exponent=args.neg_exponent)
+             if args.vocab else _build_vocab(args))
     cfg = bsg.TrainConfig(
         dim=args.dim, window=args.window, subsample_t=args.subsample_t,
         negatives_per_positive=args.negatives, margin=args.margin,
         batch_size=args.batch_size,
-        learning_rate=args.lr if args.lr is not None else 0.00055,
+        learning_rate=args.lr if args.lr is not None else bsg.TrainConfig.learning_rate,
         epochs=args.epochs, seed=args.seed, objective=args.objective,
         cov_kind=args.cov, hidden_dim=args.hidden_dim,
         neg_exponent=args.neg_exponent, lowercase=args.lowercase)

@@ -16,9 +16,7 @@ __all__ = [
     "iter_documents",
     "build_vocabulary",
     "subsample_stream",
-    "extract_windows",
     "sample_negatives",
-    "Window",
     "iter_training_windows",
     "iter_training_batches",
     "single_window",
@@ -28,14 +26,6 @@ __all__ = [
 
 class CorpusError(Exception):
     """Raised for unusable corpus input (empty, undecodable, ...)."""
-
-
-@dataclass(frozen=True)
-class Window:
-    """One training window: a center word id and its surrounding context ids."""
-
-    center: int
-    contexts: tuple
 
 
 @dataclass
@@ -191,13 +181,6 @@ def _window_arrays(ids: np.ndarray, window_size: int, lo: int = 0, hi=None):
     mask = j < left + np.minimum(n - 1 - i, window_size)
     at = i - left + j + (j >= left)                     # skip the center itself
     return ids[i[:, 0]], np.where(mask, ids[np.minimum(at, n - 1)], 0), mask
-
-
-def extract_windows(tokens, window_size: int):
-    """Symmetric context windows, truncated at the stream boundaries."""
-    centers, ctx, mask = _window_arrays(np.asarray(tokens, dtype=np.intp), window_size)
-    return [Window(c, tuple(x[:m].tolist()))
-            for c, x, m in zip(centers.tolist(), ctx, mask.sum(axis=1).tolist())]
 
 
 def context_tokens(tokens, i: int, window: int):

@@ -8,14 +8,14 @@ log-variance head has a single output row for spherical posteriors and d
 rows for diagonal ones.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .gauss import Gaussian
 
-__all__ = ["EncoderParams", "EncoderGrads", "init_encoder", "infer_posterior",
-           "encode_batch", "backward_batch", "encoder_backward"]
+__all__ = ["EncoderParams", "init_encoder", "infer_posterior", "encode_batch",
+           "backward_batch", "encoder_backward"]
 
 
 @dataclass
@@ -50,31 +50,6 @@ class EncoderParams:
     @property
     def cov_kind(self) -> str:
         return "spherical" if self.W.shape[0] == 1 else "diagonal"
-
-    def copy(self):
-        return EncoderParams(self.R.copy(), self.M.copy(), self.U.copy(),
-                             self.b1.copy(), self.W.copy(), self.b2.copy())
-
-
-@dataclass
-class EncoderGrads:
-    """Gradients for one (or an accumulated batch of) encoder backward pass.
-
-    R gradients are sparse: only rows touched by the window appear in dR.
-    """
-
-    dM: np.ndarray
-    dU: np.ndarray
-    db1: np.ndarray
-    dW: np.ndarray
-    db2: np.ndarray
-    dR: dict = field(default_factory=dict)
-
-    def dR_dense(self, vocab_size: int) -> np.ndarray:
-        out = np.zeros((vocab_size, self.dU.shape[0]))
-        for i, g in self.dR.items():
-            out[i] = g
-        return out
 
 
 def init_encoder(vocab_size: int, d: int, d_h: int, cov_kind: str,
@@ -158,20 +133,13 @@ def backward_batch(params: EncoderParams, acts, d_mu: np.ndarray, d_lv: np.ndarr
     return dense, rows
 
 
-def sum_rows(ids, grads) -> dict:
-    """{row id: summed gradient} over (ids (N,), grads (N, ...)) pairs."""
-    uniq, inv = np.unique(ids, return_inverse=True)
-    out = np.zeros((len(uniq),) + grads.shape[1:])
-    np.add.at(out, inv, grads)
-    return dict(zip(uniq.tolist(), out))
-
-
 def encoder_backward(center, contexts, params: EncoderParams,
-                     d_mu: np.ndarray, d_log_var) -> EncoderGrads:
-    """Exact gradients of a scalar loss through (mu_q, log var_q).
+                     d_mu: np.ndarray, d_log_var):
+    """Exact gradients of a scalar loss through (mu_q, log var_q) of one window.
 
     d_log_var is a scalar for spherical encoders, a (d,) vector for diagonal.
-    Only R rows for the center and context words receive gradient.
+    Returns backward_batch's (dense gradients, (R row ids, R row gradients))
+    pair; only the center and context rows of R appear, repeated as they occur.
     """
     if len(contexts) == 0:
         raise ValueError("posterior undefined without context")
@@ -183,5 +151,4 @@ def encoder_backward(center, contexts, params: EncoderParams,
         raise ValueError("d_log_var shape mismatch")
     ctx = np.array([contexts], dtype=np.intp)
     acts, _, _ = encode_batch(np.array([center]), ctx, np.ones(ctx.shape, bool), params)
-    dense, rows = backward_batch(params, acts, d_mu[None], d_lv[None])
-    return EncoderGrads(**{f"d{k}": g for k, g in dense.items()}, dR=sum_rows(*rows))
+    return backward_batch(params, acts, d_mu[None], d_lv[None])

@@ -151,7 +151,7 @@ def _load_text(lines):
     saw_end = False
     for lineno, raw in it:
         line = raw.rstrip("\n")
-        if line.startswith("#SECTION"):
+        if line.startswith("#SECTION "):     # a vocab word may be "#SECTION"
             if pending is not None:
                 name, _, _, flat, need = pending
                 if len(flat) != need:
@@ -159,11 +159,12 @@ def _load_text(lines):
                          f"got {len(flat)} of {need} values", lineno)
                 pending = _finish_array(arrays, pending)
             parts = line.split()
-            if parts[1] == "config":
+            section = parts[1] if len(parts) > 1 else ""
+            if section == "config":
                 state = "config"
-            elif parts[1] == "vocab":
+            elif section == "vocab":
                 state = "vocab"
-            elif parts[1] == "array":
+            elif section == "array":
                 if len(parts) < 5:
                     fail("malformed array section header", lineno)
                 name, dtype, ndim = parts[2], parts[3], int(parts[4])
@@ -172,11 +173,11 @@ def _load_text(lines):
                     fail(f"array section {name!r}: bad shape", lineno)
                 pending = (name, dtype, shape, [], int(np.prod(shape)) if shape else 1)
                 state = "array"
-            elif parts[1] == "end":
+            elif section == "end":
                 saw_end = True
                 state = "done"
             else:
-                fail(f"unknown section {parts[1]!r}", lineno)
+                fail(f"unknown section {section!r}", lineno)
             continue
         if state == "header":
             k, _, v = line.partition("\t")
@@ -242,6 +243,8 @@ def _load_binary(f):
     data = f.read()
     if data[:4] != MAGIC:
         raise SerializationError("byte 0: bad magic, not a model file")
+    if len(data) < 8:
+        raise SerializationError("byte 4: truncated format version")
     (version,) = struct.unpack_from("<I", data, 4)
     if version != FORMAT_VERSION:
         raise SerializationError(
@@ -276,6 +279,8 @@ def _load_binary(f):
                 words.append(w)
                 counts.append(int(c))
         elif name.startswith("array:"):
+            if plen < 4:
+                raise SerializationError(f"byte {off - plen}: truncated array meta length")
             (mlen,) = struct.unpack_from("<I", payload, 0)
             meta = json.loads(payload[4:4 + mlen])
             dtype = np.dtype(meta["dtype"]).newbyteorder("<")

@@ -37,37 +37,23 @@ def perturbed_bsg_model(vocab, cfg, rng, scale=0.2):
     return model
 
 
-def bsg_dense_grads(model, wg):
-    """Scatter sparse WindowGrads into dense arrays matching param_arrays."""
-    dense = {k: np.zeros(v.shape) for k, v in model.param_arrays().items()}
-    for w, (dmu, dlv) in wg.prior.items():
-        dense["prior_mean"][w] = dmu
-        dense["prior_log_var"][w] = dlv
-    for w, (dmu, dlv) in wg.ctx.items():
-        dense["ctx_mean"][w] = dmu
-        dense["ctx_log_var"][w] = dlv
-    dense["enc_M"] = wg.enc.dM
-    dense["enc_U"] = wg.enc.dU
-    dense["enc_b1"] = wg.enc.db1
-    dense["enc_W"] = wg.enc.dW
-    dense["enc_b2"] = wg.enc.db2
-    for w, g in wg.enc.dR.items():
-        dense["enc_R"][w] = g
-    return dense
+def kernel_gradcheck(kernel, params, batch, h=1e-6):
+    """Max relative error of a batch kernel's gradients vs finite differences.
 
-
-def bsg_gradcheck(model, cfg, center, positives, negatives, h=1e-6):
-    """Max relative error of analytic window-loss grads vs finite differences."""
-    wg = bsg.window_loss_gradients(model, center, positives, negatives, cfg)
-    params = model.param_arrays()
+    kernel(*batch, want_grads=...) is a model's batch kernel bound to its model
+    (and config), params the arrays it reads. The analytic gradients are
+    densified with BatchGrads.scatter, as training does; the loss differentiated
+    is the sum of the batch's window losses.
+    """
     names = sorted(params)
+    dense = {n: np.zeros(params[n].shape) for n in names}
+    kernel(*batch).scatter(dense)
     x0 = flatten(params, names)
 
     def loss_of(vec):
         write_back(params, names, vec)
-        return bsg.window_loss(model, center, positives, negatives, cfg)
+        return float(kernel(*batch, want_grads=False).losses.sum())
 
     fd = oracles.finite_diff_grad(loss_of, x0, h)
     write_back(params, names, x0)
-    analytic = flatten(bsg_dense_grads(model, wg), names)
-    return rel_err(analytic, fd)
+    return rel_err(flatten(dense, names), fd)

@@ -7,25 +7,24 @@ fixtures.
 """
 
 import time
+from functools import partial
 
 import numpy as np
 import pytest
 import scipy.stats
 
 from bayesgram import baselines, bsg, oracles
-from bayesgram.baselines import (sg_window_gradients, sg_window_loss,
-                                 train_baseline, w2g_window_gradients,
-                                 w2g_window_loss)
-from bayesgram.bsg import TrainConfig, init_bsg_model
+from bayesgram.baselines import sg_batch_gradients, train_baseline, w2g_batch_gradients
+from bayesgram.bsg import BatchGrads, TrainConfig, batch_gradients, init_bsg_model
 from bayesgram.cli import main as cli_main
-from bayesgram.corpus import build_vocabulary, iter_documents
+from bayesgram.corpus import build_vocabulary, iter_documents, single_window
 from bayesgram.encoder import encoder_backward, infer_posterior
 from bayesgram.evaluate import (EntailmentPair, best_f1_threshold,
                                 eval_directionality, gap, pearson, spearman)
 from bayesgram.gauss import Gaussian, kl_divergence, log_det_cov
 from bayesgram.serialize import bundle_from_model, load_model, save_model
 
-from helpers import bsg_gradcheck, flatten, rel_err, tiny_vocab, write_back
+from helpers import kernel_gradcheck, rel_err, tiny_vocab
 
 
 @pytest.fixture
@@ -91,7 +90,9 @@ def test_criterion_2_gradient_checks(report):
         center = int(rng.integers(20))
         pos = list(rng.integers(0, 20, size=2))
         neg = list(rng.integers(0, 20, size=2))
-        worst_bsg = max(worst_bsg, bsg_gradcheck(model, cfg, center, pos, neg))
+        worst_bsg = max(worst_bsg, kernel_gradcheck(
+            partial(batch_gradients, model, cfg=cfg), model.param_arrays(),
+            single_window(center, pos, neg), 1e-6))
 
     worst_enc = 0.0
     for i in range(100):
@@ -108,8 +109,10 @@ def test_criterion_2_gradient_checks(report):
         ctx = list(rng.integers(0, 20, size=3))
         a = rng.normal(size=4)
         b = rng.normal(size=k)
-        grads = encoder_backward(center, ctx, enc, a, b[0] if k == 1 else b)
+        dense, rows = encoder_backward(center, ctx, enc, a, b[0] if k == 1 else b)
         names = ("R", "M", "U", "b1", "W", "b2")
+        grads = {n: np.zeros(getattr(enc, n).shape) for n in names}
+        BatchGrads(np.zeros(1), {"R": rows}, dense).scatter(grads)
         x0 = np.concatenate([getattr(enc, n).reshape(-1) for n in names])
 
         def loss_of(vec):
@@ -123,9 +126,7 @@ def test_criterion_2_gradient_checks(report):
 
         fd = oracles.finite_diff_grad(loss_of, x0, 1e-5)
         loss_of(x0)
-        analytic = np.concatenate([grads.dR_dense(20).reshape(-1),
-                                   grads.dM.reshape(-1), grads.dU.reshape(-1),
-                                   grads.db1, grads.dW.reshape(-1), grads.db2])
+        analytic = np.concatenate([grads[n].reshape(-1) for n in names])
         worst_enc = max(worst_enc, rel_err(analytic, fd))
 
     worst_sg = 0.0
@@ -136,19 +137,9 @@ def test_criterion_2_gradient_checks(report):
         center = int(rng.integers(20))
         pos = list(rng.integers(0, 20, size=2))
         neg = list(rng.integers(0, 20, size=2))
-        buffers = {k: np.zeros(v.shape) for k, v in m.param_arrays().items()}
-        sg_window_gradients(m, center, pos, neg, buffers)
-        params = m.param_arrays()
-        names = sorted(params)
-        x0 = flatten(params, names)
-
-        def sg_loss_of(vec):
-            write_back(params, names, vec)
-            return sg_window_loss(m, center, pos, neg)
-
-        fd = oracles.finite_diff_grad(sg_loss_of, x0, 1e-6)
-        write_back(params, names, x0)
-        worst_sg = max(worst_sg, rel_err(flatten(buffers, names), fd))
+        worst_sg = max(worst_sg, kernel_gradcheck(
+            partial(sg_batch_gradients, m), m.param_arrays(),
+            single_window(center, pos, neg), 1e-6))
 
     worst_w2g = 0.0
     variants = [("spherical", "expected_likelihood"), ("spherical", "negated_kl"),
@@ -163,19 +154,9 @@ def test_criterion_2_gradient_checks(report):
         center = int(rng.integers(20))
         pos = list(rng.integers(0, 20, size=2))
         neg = list(rng.integers(0, 20, size=2))
-        buffers = {k: np.zeros(v.shape) for k, v in m.param_arrays().items()}
-        w2g_window_gradients(m, center, pos, neg, 1.0, buffers)
-        params = m.param_arrays()
-        names = sorted(params)
-        x0 = flatten(params, names)
-
-        def w2g_loss_of(vec):
-            write_back(params, names, vec)
-            return w2g_window_loss(m, center, pos, neg, 1.0)
-
-        fd = oracles.finite_diff_grad(w2g_loss_of, x0, 1e-6)
-        write_back(params, names, x0)
-        worst_w2g = max(worst_w2g, rel_err(flatten(buffers, names), fd))
+        worst_w2g = max(worst_w2g, kernel_gradcheck(
+            partial(w2g_batch_gradients, m, margin=1.0), m.param_arrays(),
+            single_window(center, pos, neg), 1e-6))
 
     elapsed = time.time() - t0
     worst = max(worst_bsg, worst_enc, worst_sg, worst_w2g)

@@ -1,17 +1,33 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from bayesgram import oracles
-from bayesgram.baselines import (SgModel, W2gModel, clip_params, init_sg_model,
-                                 init_w2g_model, sg_window_gradients,
-                                 sg_window_loss, train_baseline, w2g_energy,
-                                 w2g_energy_gradients, w2g_window_gradients,
-                                 w2g_window_loss)
+from bayesgram.baselines import (SgModel, W2gModel, _energy_parts, clip_params,
+                                 init_sg_model, init_w2g_model, sg_batch_gradients,
+                                 train_baseline, w2g_batch_gradients)
 from bayesgram.bsg import TrainConfig
-from bayesgram.corpus import build_vocabulary, iter_documents
-from bayesgram.gauss import Gaussian
+from bayesgram.corpus import build_vocabulary, iter_documents, single_window
 
-from helpers import flatten, rel_err, tiny_vocab, write_back
+from helpers import kernel_gradcheck, rel_err, tiny_vocab
+
+
+def sg_loss(m, center, positives, negatives):
+    batch = single_window(center, positives, negatives)
+    return float(sg_batch_gradients(m, *batch, want_grads=False).losses[0])
+
+
+def w2g_loss(m, center, positives, negatives, margin):
+    batch = single_window(center, positives, negatives)
+    return float(w2g_batch_gradients(m, *batch, margin, want_grads=False).losses[0])
+
+
+def pair_energy(mu_a, lv_a, mu_b, lv_b, kind):
+    """_energy_parts on one pair of diagonal Gaussians: (energy, gradient parts)."""
+    val, grads = _energy_parts(*(np.asarray(x, dtype=np.float64)
+                                 for x in (mu_a, lv_a, mu_b, lv_b)), kind)
+    return float(val), grads
 
 
 def sg_model(V=8, d=4, rng=None):
@@ -38,7 +54,7 @@ class TestSgLoss:
         m = sg_model()
         m.in_vec[:] = 0
         m.out_vec[:] = 0
-        assert sg_window_loss(m, 0, [1], [2]) == pytest.approx(
+        assert sg_loss(m, 0, [1], [2]) == pytest.approx(
             -2 * np.log(0.5), abs=1e-12)
 
     def test_saturation_limit(self):
@@ -46,7 +62,7 @@ class TestSgLoss:
         m.in_vec[0] = 1.0
         m.out_vec[1] = 50.0    # positive score -> +inf direction
         m.out_vec[2] = -50.0   # negative score -> -inf direction
-        assert sg_window_loss(m, 0, [1], [2]) == pytest.approx(0.0, abs=1e-12)
+        assert sg_loss(m, 0, [1], [2]) == pytest.approx(0.0, abs=1e-12)
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
@@ -55,45 +71,34 @@ class TestSgLoss:
             center = int(rng.integers(8))
             pos = list(rng.integers(0, 8, size=2))
             neg = list(rng.integers(0, 8, size=2))
-            buffers = {k: np.zeros(v.shape) for k, v in m.param_arrays().items()}
-            sg_window_gradients(m, center, pos, neg, buffers)
-            params = m.param_arrays()
-            names = sorted(params)
-            x0 = flatten(params, names)
-
-            def loss_of(vec):
-                write_back(params, names, vec)
-                return sg_window_loss(m, center, pos, neg)
-
-            fd = oracles.finite_diff_grad(loss_of, x0, 1e-6)
-            write_back(params, names, x0)
-            assert rel_err(flatten(buffers, names), fd) <= 1e-4
+            batch = single_window(center, pos, neg)
+            kernel = partial(sg_batch_gradients, m)
+            assert kernel_gradcheck(kernel, m.param_arrays(), batch) <= 1e-4
 
     def test_length_mismatch(self):
         m = sg_model()
         with pytest.raises(ValueError, match="length mismatch"):
-            sg_window_loss(m, 0, [1, 2], [3])
+            sg_loss(m, 0, [1, 2], [3])
 
 
 class TestW2gEnergy:
     def test_expected_likelihood_hand_value(self):
-        a = Gaussian(np.array([0.0]), np.array(np.log(0.5)))
-        b = Gaussian(np.array([0.0]), np.array(np.log(0.5)))
         # variances add: log N(0; 0, 1)
-        assert w2g_energy(a, b, "expected_likelihood") == pytest.approx(
-            -0.5 * np.log(2 * np.pi), abs=1e-12)
+        half = [np.log(0.5)]
+        value, _ = pair_energy([0.0], half, [0.0], half, "expected_likelihood")
+        assert value == pytest.approx(-0.5 * np.log(2 * np.pi), abs=1e-12)
 
     def test_negated_kl_identical_is_zero(self):
-        a = Gaussian(np.array([0.3, -0.1]), np.array([0.2, 0.1]))
-        assert w2g_energy(a, a, "negated_kl") == pytest.approx(0.0, abs=1e-12)
+        mu, lv = [0.3, -0.1], [0.2, 0.1]
+        assert pair_energy(mu, lv, mu, lv, "negated_kl")[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_expected_likelihood_symmetry(self):
         rng = np.random.default_rng(2)
         for _ in range(20):
-            a = Gaussian(rng.normal(size=3), rng.normal(size=3))
-            b = Gaussian(rng.normal(size=3), rng.normal(size=3))
-            assert w2g_energy(a, b, "expected_likelihood") == pytest.approx(
-                w2g_energy(b, a, "expected_likelihood"), abs=1e-10)
+            a = rng.normal(size=3), rng.normal(size=3)
+            b = rng.normal(size=3), rng.normal(size=3)
+            assert pair_energy(*a, *b, "expected_likelihood")[0] == pytest.approx(
+                pair_energy(*b, *a, "expected_likelihood")[0], abs=1e-10)
 
     @pytest.mark.parametrize("kind", ["expected_likelihood", "negated_kl"])
     def test_energy_gradients(self, kind):
@@ -101,22 +106,18 @@ class TestW2gEnergy:
         for _ in range(10):
             mu_a, mu_b = rng.normal(size=2), rng.normal(size=2)
             lv_a, lv_b = rng.normal(size=2), rng.normal(size=2)
-            _, g_mu_a, g_lv_a, g_mu_b, g_lv_b = w2g_energy_gradients(
-                Gaussian(mu_a, lv_a), Gaussian(mu_b, lv_b), kind)
+            _, grads = pair_energy(mu_a, lv_a, mu_b, lv_b, kind)
             x0 = np.concatenate([mu_a, lv_a, mu_b, lv_b])
 
             def f(vec):
-                return w2g_energy(Gaussian(vec[0:2], vec[2:4]),
-                                  Gaussian(vec[4:6], vec[6:8]), kind)
+                return pair_energy(vec[0:2], vec[2:4], vec[4:6], vec[6:8], kind)[0]
 
             fd = oracles.finite_diff_grad(f, x0, 1e-6)
-            analytic = np.concatenate([g_mu_a, g_lv_a, g_mu_b, g_lv_b])
-            assert rel_err(analytic, fd) <= 1e-4
+            assert rel_err(np.concatenate(grads), fd) <= 1e-4
 
     def test_unknown_kind(self):
-        a = Gaussian(np.array([0.0]), np.array(0.0))
         with pytest.raises(ValueError, match="unknown energy"):
-            w2g_energy(a, a, "mahalanobis")
+            pair_energy([0.0], [0.0], [0.0], [0.0], "mahalanobis")
 
 
 class TestW2gWindowLoss:
@@ -127,11 +128,11 @@ class TestW2gWindowLoss:
         m.mean[0, 0] = 0.0
         m.mean[1, 0] = 0.1   # positive close -> high energy
         m.mean[2, 0] = 9.0   # negative far -> low energy
-        assert w2g_window_loss(m, 0, [1], [2], margin=1.0) == 0.0
+        assert w2g_loss(m, 0, [1], [2], margin=1.0) == 0.0
 
     def test_identical_pos_neg_gives_margin_each(self):
         m = w2g_model()
-        loss = w2g_window_loss(m, 0, [1, 2], [1, 2], margin=0.8)
+        loss = w2g_loss(m, 0, [1, 2], [1, 2], margin=0.8)
         assert loss == pytest.approx(2 * 0.8, abs=1e-10)
 
     @pytest.mark.parametrize("cov_kind,energy", [
@@ -144,19 +145,9 @@ class TestW2gWindowLoss:
             center = int(rng.integers(8))
             pos = list(rng.integers(0, 8, size=2))
             neg = list(rng.integers(0, 8, size=2))
-            buffers = {k: np.zeros(v.shape) for k, v in m.param_arrays().items()}
-            w2g_window_gradients(m, center, pos, neg, 1.0, buffers)
-            params = m.param_arrays()
-            names = sorted(params)
-            x0 = flatten(params, names)
-
-            def loss_of(vec):
-                write_back(params, names, vec)
-                return w2g_window_loss(m, center, pos, neg, 1.0)
-
-            fd = oracles.finite_diff_grad(loss_of, x0, 1e-6)
-            write_back(params, names, x0)
-            assert rel_err(flatten(buffers, names), fd) <= 1e-4
+            batch = single_window(center, pos, neg)
+            kernel = partial(w2g_batch_gradients, m, margin=1.0)
+            assert kernel_gradcheck(kernel, m.param_arrays(), batch) <= 1e-4
 
 
 class TestClipParams:

@@ -1,20 +1,27 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from bayesgram import bsg, oracles
-from bayesgram.bsg import (BsgModel, TrainConfig, elbo_estimate, init_bsg_model,
-                           reparameterize, train, window_loss,
-                           window_loss_gradients)
-from bayesgram.corpus import Vocabulary, build_vocabulary, iter_documents
+from bayesgram.bsg import (BsgModel, TrainConfig, batch_gradients, elbo_estimate,
+                           init_bsg_model, reparameterize, train)
+from bayesgram.corpus import Vocabulary, build_vocabulary, iter_documents, single_window
 from bayesgram.gauss import Gaussian, kl_divergence
 
-from helpers import bsg_gradcheck, perturbed_bsg_model, tiny_vocab
+from helpers import kernel_gradcheck, perturbed_bsg_model, tiny_vocab
 
 
 def cfg64(**kw):
     base = dict(dim=3, hidden_dim=4, margin=1.0, param_dtype="float64", epochs=0)
     base.update(kw)
     return TrainConfig(**base)
+
+
+def one_window_loss(model, center, positives, negatives, cfg):
+    """The kernel's loss of one window, a batch of one."""
+    batch = single_window(center, positives, negatives)
+    return float(batch_gradients(model, *batch, cfg, want_grads=False).losses[0])
 
 
 def onedim_model(vocab, prior=(0.0, 0.0), ctx_rows=None):
@@ -54,20 +61,20 @@ class TestWindowLoss:
         # KL(q||pos) = 0.5, KL(q||neg) = 2 -> hinge max(0, 0.5 - 2 + 1) = 0
         v = tiny_vocab(4)
         model, cfg = onedim_model(v, ctx_rows={1: (1.0, 0.0), 2: (-2.0, 0.0)})
-        loss = window_loss(model, 0, [1], [2], cfg)
+        loss = one_window_loss(model, 0, [1], [2], cfg)
         assert loss == pytest.approx(0.0, abs=1e-12)
 
     def test_identical_pos_neg_gives_margin(self):
         v = tiny_vocab(4)
         model, cfg = onedim_model(v, ctx_rows={1: (0.7, 0.2)})
-        loss = window_loss(model, 0, [1], [1], cfg)
+        loss = one_window_loss(model, 0, [1], [1], cfg)
         assert loss == pytest.approx(cfg.margin, abs=1e-12)
 
     def test_all_identical_gives_margin_per_positive(self):
         # every KL is zero, so each pair contributes exactly the margin
         v = tiny_vocab(5)
         model, cfg = onedim_model(v)
-        loss = window_loss(model, 0, [1, 2, 3], [2, 3, 4], cfg)
+        loss = one_window_loss(model, 0, [1, 2, 3], [2, 3, 4], cfg)
         assert loss == pytest.approx(3 * cfg.margin, abs=1e-12)
 
     def test_loss_lower_bounded_by_prior_kl(self):
@@ -78,7 +85,7 @@ class TestWindowLoss:
             model = perturbed_bsg_model(v, cfg, rng)
             q = model.posterior(0, [1, 2])
             prior_kl = kl_divergence(q, model.prior_gaussian(0))
-            loss = window_loss(model, 0, [1, 2], [3, 4], cfg)
+            loss = one_window_loss(model, 0, [1, 2], [3, 4], cfg)
             assert loss >= prior_kl - 1e-10
             assert loss >= -1e-10
 
@@ -87,8 +94,8 @@ class TestWindowLoss:
         v = tiny_vocab(8)
         for _ in range(100):
             model = perturbed_bsg_model(v, cfg64(), rng)
-            h = window_loss(model, 0, [1], [2], cfg64(margin=0.0))
-            s = window_loss(model, 0, [1], [2], cfg64(objective="soft"))
+            h = one_window_loss(model, 0, [1], [2], cfg64(margin=0.0))
+            s = one_window_loss(model, 0, [1], [2], cfg64(objective="soft"))
             q = model.posterior(0, [1])
             arg = (kl_divergence(q, model.ctx_gaussian(1))
                    - kl_divergence(q, model.ctx_gaussian(2)))
@@ -99,17 +106,17 @@ class TestWindowLoss:
         v = tiny_vocab(6)
         model, cfg = onedim_model(v)
         with pytest.raises(ValueError, match="length mismatch"):
-            window_loss(model, 0, [1, 2], [3], cfg)
+            one_window_loss(model, 0, [1, 2], [3], cfg)
         with pytest.raises(ValueError, match="empty"):
-            window_loss(model, 0, [], [1], cfg)
+            one_window_loss(model, 0, [], [1], cfg)
 
     def test_no_rng_needed(self):
         # the training objective is sampling-free: repeated evaluation is
         # bit-identical with no generator in sight
         v = tiny_vocab(6)
         model = perturbed_bsg_model(v, cfg64(), np.random.default_rng(3))
-        a = window_loss(model, 1, [2, 3], [4, 5], cfg64())
-        b = window_loss(model, 1, [2, 3], [4, 5], cfg64())
+        a = one_window_loss(model, 1, [2, 3], [4, 5], cfg64())
+        b = one_window_loss(model, 1, [2, 3], [4, 5], cfg64())
         assert a == b
 
 
@@ -120,21 +127,26 @@ class TestWindowLossGradients:
         v = tiny_vocab(4)
         model, cfg = onedim_model(v, ctx_rows={1: (0.5, 0.0), 2: (-9.0, 0.0)})
         cfg = cfg64(dim=1, hidden_dim=2, margin=0.5)
-        wg = window_loss_gradients(model, 0, [1], [2], cfg)
+        g = batch_gradients(model, *single_window(0, [1], [2]), cfg)
         # context rows get zero gradient, prior row does not need to be zero
-        for w, (dmu, dlv) in wg.ctx.items():
-            assert np.allclose(dmu, 0) and np.allclose(dlv, 0)
-        assert set(wg.prior) == {0}
+        for name in ("ctx_mean", "ctx_log_var"):
+            assert np.allclose(g.rows[name][1], 0)
+        assert g.rows["prior_mean"][0].tolist() == [0]
+        assert g.rows["prior_log_var"][0].tolist() == [0]
 
     def test_gradient_sparsity(self):
         rng = np.random.default_rng(4)
         v = tiny_vocab(20)
         cfg = cfg64(dim=4)
         model = perturbed_bsg_model(v, cfg, rng)
-        wg = window_loss_gradients(model, 3, [5, 6], [7, 8], cfg)
-        assert set(wg.prior) == {3}
-        assert set(wg.ctx) <= {5, 6, 7, 8}
-        assert set(wg.enc.dR) <= {3, 5, 6}
+        g = batch_gradients(model, *single_window(3, [5, 6], [7, 8]), cfg)
+        dense = {n: np.zeros(a.shape) for n, a in model.param_arrays().items()}
+        g.scatter(dense)
+        touched = {n: set(np.flatnonzero(np.any(dense[n].reshape(20, -1), axis=1)))
+                   for n in ("prior_mean", "ctx_mean", "ctx_log_var", "enc_R")}
+        assert touched["prior_mean"] == {3}
+        assert touched["ctx_mean"] | touched["ctx_log_var"] <= {5, 6, 7, 8}
+        assert touched["enc_R"] <= {3, 5, 6}
 
     @pytest.mark.parametrize("cov_kind,objective", [
         ("spherical", "hinge"), ("diagonal", "hinge"), ("spherical", "soft")])
@@ -148,7 +160,9 @@ class TestWindowLossGradients:
             center = int(rng.integers(20))
             pos = list(rng.integers(0, 20, size=3))
             neg = list(rng.integers(0, 20, size=3))
-            assert bsg_gradcheck(model, cfg, center, pos, neg) <= 1e-4
+            kernel = partial(batch_gradients, model, cfg=cfg)
+            batch = single_window(center, pos, neg)
+            assert kernel_gradcheck(kernel, model.param_arrays(), batch) <= 1e-4
 
 
 class TestElboEstimate:

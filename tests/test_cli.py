@@ -153,6 +153,12 @@ class TestInspectionCommands:
         assert main(["nearest", str(workdir / "model.bin"), "zzz"]) == 2
         assert "out of vocabulary" in capsys.readouterr().err
 
+    def test_nearest_on_short_binary_file(self, tmp_path, capsys):
+        (tmp_path / "short.bin").write_bytes(b"BSG1")
+        assert main(["nearest", str(tmp_path / "short.bin"), "a"]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: byte 4: truncated format version\n"
+
     def test_infer(self, workdir, capsys):
         assert main(["infer", str(workdir / "model.bin"),
                      "g0_ind0 poly0 g0_ind1", "1", "--window", "2"]) == 0

@@ -6,9 +6,8 @@ import pytest
 from bayesgram import corpus, oracles
 from bayesgram.bsg import TrainConfig, data_rng
 from bayesgram.corpus import (CorpusError, Vocabulary, build_vocabulary,
-                              extract_windows, iter_documents,
-                              iter_training_batches, iter_training_windows,
-                              sample_negatives, subsample_stream)
+                              iter_documents, iter_training_batches,
+                              iter_training_windows, sample_negatives, subsample_stream)
 
 
 class TestBuildVocabulary:
@@ -109,38 +108,44 @@ class TestSubsampleStream:
         assert all(any(x == y for y in it) for x in out)
 
 
+def stream_windows(tokens, window_size):
+    """(center, contexts) of each window of one token stream, as the stream cuts them."""
+    centers, ctx, mask = corpus._window_arrays(np.asarray(tokens, dtype=np.intp),
+                                               window_size)
+    return [(c, tuple(x[m].tolist())) for c, x, m in zip(centers.tolist(), ctx, mask)]
+
+
 class TestExtractWindows:
     def test_window_one(self):
-        ws = extract_windows([0, 1, 2], 1)
-        assert [(w.center, w.contexts) for w in ws] == [
-            (0, (1,)), (1, (0, 2)), (2, (1,))]
+        assert stream_windows([0, 1, 2], 1) == [(0, (1,)), (1, (0, 2)), (2, (1,))]
 
     def test_single_token(self):
-        assert extract_windows([5], 3) == []
+        assert stream_windows([5], 3) == []
 
     def test_window_two_interior(self):
-        ws = extract_windows([0, 1, 2, 3], 2)
-        by_pos = {i: w for i, w in enumerate(ws)}
-        assert by_pos[1].center == 1
-        assert by_pos[1].contexts == (0, 2, 3)
+        by_pos = dict(enumerate(stream_windows([0, 1, 2, 3], 2)))
+        assert by_pos[1] == (1, (0, 2, 3))
 
     def test_context_distance_bound(self):
         toks = list(np.random.default_rng(0).integers(0, 5, size=50))
-        for i, w in enumerate(extract_windows(toks, 3)):
-            assert 1 <= len(w.contexts) <= 6
+        for center, contexts in stream_windows(toks, 3):
+            assert 1 <= len(contexts) <= 6
 
-    def test_document_sharding(self):
-        # windows never cross documents: per-document extraction concatenated
-        # equals extracting each shard separately
-        d1, d2 = [0, 1, 2], [3, 4]
-        combined = extract_windows(d1, 2) + extract_windows(d2, 2)
-        assert all(3 not in w.contexts and 4 not in w.contexts
-                   for w in extract_windows(d1, 2))
-        assert len(combined) == 5
+    def test_document_sharding(self, tmp_path):
+        # windows never cross documents: the stream windows each line alone
+        path = tmp_path / "c.txt"
+        path.write_text("a b c\nd e\n")
+        v = Vocabulary(list("abcde"), np.ones(5, dtype=np.int64), subsample_t=1.0)
+        windows = list(iter_training_windows(path, v, 2, 1, np.random.default_rng(0)))
+        assert [(c, p) for c, p, _ in windows] == [
+            (0, [1, 2]), (1, [0, 2]), (2, [0, 1]), (3, [4]), (4, [3])]
 
-    def test_bad_window_size(self):
-        with pytest.raises(ValueError):
-            extract_windows([0, 1], 0)
+    def test_bad_window_size(self, tmp_path):
+        path = tmp_path / "c.txt"
+        path.write_text("a b\n")
+        v = Vocabulary(["a", "b"], np.array([1, 1]), subsample_t=1.0)
+        with pytest.raises(ValueError, match="window_size"):
+            list(iter_training_windows(path, v, 0, 1, np.random.default_rng(0)))
 
 
 class TestSampleNegatives:

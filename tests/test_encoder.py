@@ -1,11 +1,22 @@
 import numpy as np
 import pytest
 
+from bayesgram.bsg import BatchGrads
 from bayesgram.encoder import (EncoderParams, encoder_backward, infer_posterior,
                                init_encoder)
 from bayesgram.oracles import finite_diff_grad
 
 from helpers import rel_err
+
+NAMES = ("R", "M", "U", "b1", "W", "b2")
+
+
+def dense_grads(enc, result):
+    """encoder_backward's (dense, (R row ids, R rows)) scattered like training does."""
+    dense, rows = result
+    out = {n: np.zeros(getattr(enc, n).shape) for n in NAMES}
+    BatchGrads(np.zeros(1), {"R": rows}, dense).scatter(out)
+    return out
 
 
 def zero_encoder(V=5, d=2, d_h=3, cov_kind="spherical"):
@@ -90,10 +101,8 @@ class TestInferPosterior:
 class TestEncoderBackward:
     def test_zero_upstream_gives_zero_grads(self):
         enc = random_encoder(np.random.default_rng(5))
-        grads = encoder_backward(0, [1, 2], enc, np.zeros(3), 0.0)
-        assert np.allclose(grads.dM, 0) and np.allclose(grads.dU, 0)
-        assert np.allclose(grads.dW, 0) and np.allclose(grads.db1, 0)
-        assert all(np.allclose(g, 0) for g in grads.dR.values())
+        grads = dense_grads(enc, encoder_backward(0, [1, 2], enc, np.zeros(3), 0.0))
+        assert all(np.allclose(g, 0) for g in grads.values())
 
     def test_dead_relu_unit_blocks_gradient(self):
         enc = zero_encoder(V=3, d=2, d_h=2)
@@ -101,15 +110,17 @@ class TestEncoderBackward:
         enc.M[0, :] = [-1.0, -1.0, -1.0, -1.0]   # always negative pre-activation
         enc.M[1, :] = [1.0, 1.0, 1.0, 1.0]
         enc.U[:] = 1.0
-        grads = encoder_backward(0, [1], enc, np.array([1.0, 1.0]), 0.0)
+        dense, _ = encoder_backward(0, [1], enc, np.array([1.0, 1.0]), 0.0)
         # unit 0 is dead: no gradient reaches its row of M
-        assert np.allclose(grads.dM[0], 0.0)
-        assert not np.allclose(grads.dM[1], 0.0)
+        assert np.allclose(dense["M"][0], 0.0)
+        assert not np.allclose(dense["M"][1], 0.0)
 
     def test_untouched_rows_have_no_gradient(self):
         enc = random_encoder(np.random.default_rng(6), V=10)
-        grads = encoder_backward(2, [4, 7], enc, np.ones(3), 0.5)
-        assert set(grads.dR) == {2, 4, 7}
+        result = encoder_backward(2, [4, 7], enc, np.ones(3), 0.5)
+        assert set(result[1][0].tolist()) == {2, 4, 7}
+        dR = dense_grads(enc, result)["R"]
+        assert set(np.flatnonzero(np.any(dR != 0, axis=1))) == {2, 4, 7}
 
     @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
     def test_matches_finite_differences(self, cov_kind):
@@ -127,14 +138,13 @@ class TestEncoderBackward:
                 lv = np.atleast_1d(np.asarray(g.log_var))
                 return float(a @ g.mean + b @ lv)
 
-            grads = encoder_backward(center, contexts, enc, a,
-                                     b[0] if k == 1 else b)
-            names = ["R", "M", "U", "b1", "W", "b2"]
-            flat = np.concatenate([getattr(enc, n).reshape(-1) for n in names])
+            grads = dense_grads(enc, encoder_backward(center, contexts, enc, a,
+                                                      b[0] if k == 1 else b))
+            flat = np.concatenate([getattr(enc, n).reshape(-1) for n in NAMES])
 
             def loss_of(vec):
                 off = 0
-                for n in names:
+                for n in NAMES:
                     arr = getattr(enc, n)
                     arr[...] = vec[off:off + arr.size].reshape(arr.shape)
                     off += arr.size
@@ -142,10 +152,7 @@ class TestEncoderBackward:
 
             fd = finite_diff_grad(loss_of, flat, 1e-5)
             loss_of(flat)
-            dR = grads.dR_dense(6)
-            analytic = np.concatenate([dR.reshape(-1), grads.dM.reshape(-1),
-                                       grads.dU.reshape(-1), grads.db1,
-                                       grads.dW.reshape(-1), grads.db2])
+            analytic = np.concatenate([grads[n].reshape(-1) for n in NAMES])
             assert rel_err(analytic, fd) <= 1e-4
 
     def test_shape_mismatch(self):

@@ -1,8 +1,12 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from bayesgram.baselines import init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
+from bayesgram.corpus import Vocabulary
 from bayesgram.gauss import kl_divergence
 from bayesgram.serialize import (ModelBundle, SerializationError,
                                  bundle_from_model, infer, load_model,
@@ -159,6 +163,48 @@ class TestCorruptFiles:
         data[4] = 99
         path.write_bytes(bytes(data))
         with pytest.raises(SerializationError, match="format version 99"):
+            load_model(path)
+
+    @pytest.mark.parametrize("kind", ["sg", "bsg"])
+    def test_binary_every_strict_prefix_is_rejected(self, tmp_path, kind):
+        path = tmp_path / "m.bin"
+        save_model(bundle_from_model(make_model(kind, V=4, d=2)), path, "binary")
+        data = path.read_bytes()
+        for n in range(len(data)):
+            path.write_bytes(data[:n])
+            with pytest.raises(SerializationError):
+                load_model(path)
+
+    def test_binary_short_array_meta_names_byte(self, tmp_path):
+        name = b"array:x"
+        path = tmp_path / "m.bin"
+        path.write_bytes(b"BSG1" + struct.pack("<I", 1) + struct.pack("<I", len(name))
+                         + name + struct.pack("<Q", 2) + b"{}")
+        with pytest.raises(SerializationError, match="byte 27: truncated array meta"):
+            load_model(path)
+
+
+class TestSectionLikeWords:
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_roundtrip(self, tmp_path, mode):
+        vocab = Vocabulary(["#SECTION", "#SECTIONx", "a"], np.array([3, 2, 1]))
+        cfg = TrainConfig(dim=2)
+        model = init_sg_model(vocab, cfg, np.random.default_rng(0))
+        bundle = bundle_from_model(model, config={"seed": 0})
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle, path, mode)
+        loaded = load_model(path)
+        assert loaded.vocab.words == ["#SECTION", "#SECTIONx", "a"]
+        assert list(loaded.vocab.counts) == [3, 2, 1]
+        assert loaded.config == json.loads(json.dumps(bundle.config))
+        for name, arr in bundle.arrays.items():
+            assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_header_without_name_is_rejected(self, tmp_path):
+        path = tmp_path / "m.txt"
+        save_model(bundle_from_model(make_model("sg")), path, "text")
+        path.write_text(path.read_text().replace("#SECTION end", "#SECTION "))
+        with pytest.raises(SerializationError, match="unknown section ''"):
             load_model(path)
 
 
