@@ -176,8 +176,8 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
     Batch layout as in corpus.iter_training_batches; corpus.single_window
     makes one window a batch of one. A window's loss is
     KL(q || prior[center]) plus, per pair (positive j, negative r*n + j),
-    max(0, KL(q || pos) - KL(q || neg) + margin), or the plain difference
-    for the soft objective.
+    max(0, x) of x = KL(q || pos) - KL(q || neg) + margin, or its smooth,
+    non-negative bound log(1 + e^x) for the soft objective.
     """
     acts, mu_q, lv_q = encode_batch(centers, pos, mask, model.enc)
     ctx, ctx_lv = model.ctx_mean, model.ctx_log_var
@@ -188,17 +188,21 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
     kl_0, gq_0, glq_0, glt_0 = _kl_parts(mu_q, lv_q, _gather(model.prior_mean, centers),
                                          _gather(model.prior_log_var, centers))
     arg = kl_p[:, None, :] - kl_n                      # B x k x P
+    arg += cfg.margin
     neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
     if cfg.objective == "hinge":
-        arg += cfg.margin
         active = (arg > 0.0) & neg_mask
+        losses = kl_0 + np.sum(np.where(active, arg, 0.0), axis=(1, 2))
     else:
-        active = neg_mask
-    losses = kl_0 + np.sum(np.where(active, arg, 0.0), axis=(1, 2))
+        soft = np.logaddexp(0.0, arg)
+        losses = kl_0 + np.sum(np.where(neg_mask, soft, 0.0), axis=(1, 2))
     if not want_grads:
         return BatchGrads(losses)
 
-    a = active.astype(np.float64)[..., None]           # B x k x P x 1
+    if cfg.objective == "hinge":
+        a = active.astype(np.float64)[..., None]       # B x k x P x 1
+    else:                                              # sigmoid(arg), stably
+        a = np.where(neg_mask, np.exp(arg - soft), 0.0)[..., None]
     a_p = a.sum(axis=1)                                # B x P x 1, per positive
     d_mu = (a_p * gq_p).sum(axis=1) - (a * gq_n).sum(axis=(1, 2)) + gq_0
     d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2)) + glq_0
@@ -291,11 +295,11 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
 
     grad_of_batch(centers, pos, neg, mask) returns the BatchGrads of a padded
     batch. A non-finite window loss raises NumericalError before the batch
-    touches any parameter; otherwise the gradients are scattered into the
-    optimizer's 64-bit gradient sums (opt.grads), and Adam steps on their
-    mean over the batch's windows, zeroing the sums as it goes.
-    post_batch(params), when given, runs after every step (used for
-    projection/clipping). Deterministic given cfg.seed: the pipeline is a
+    touches any parameter; otherwise Adam accumulates the gradients into its
+    64-bit gradient sums and steps on their mean over the batch's windows,
+    zeroing the sums as it goes. post_batch(opt), when given, runs after
+    every step (used for projection/clipping; opt.stepped_rows names the rows
+    the step moved). Deterministic given cfg.seed: the pipeline is a
     single sequential pass. Telemetry CSV goes to log_path or $BSG_LOG.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
@@ -312,11 +316,11 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                 if not np.all(np.isfinite(grads.losses)):
                     raise NumericalError(
                         "non-finite loss; " + _param_diagnostics(params, batch_idx))
-                grads.scatter(opt.grads)
+                opt.accumulate(grads)
                 n_windows = len(grads.losses)
                 opt.step(n_windows)
                 if post_batch is not None:
-                    post_batch(params)
+                    post_batch(opt)
                 batch_loss = float(grads.losses.sum())
                 examples_seen += int(mask.sum()) * neg.shape[1]   # k tasks per positive
                 telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)

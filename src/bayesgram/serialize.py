@@ -167,8 +167,13 @@ def _load_text(lines):
             elif section == "array":
                 if len(parts) < 5:
                     fail("malformed array section header", lineno)
-                name, dtype, ndim = parts[2], parts[3], int(parts[4])
-                shape = tuple(int(x) for x in parts[5:5 + ndim])
+                name, dtype = parts[2], parts[3]
+                try:
+                    np.dtype(dtype)
+                    ndim = int(parts[4])
+                    shape = tuple(int(x) for x in parts[5:5 + ndim])
+                except (TypeError, ValueError):
+                    fail(f"malformed array section header {line!r}", lineno)
                 if len(shape) != ndim:
                     fail(f"array section {name!r}: bad shape", lineno)
                 pending = (name, dtype, shape, [], int(np.prod(shape)) if shape else 1)
@@ -183,7 +188,10 @@ def _load_text(lines):
             k, _, v = line.partition("\t")
             header[k] = v
         elif state == "config":
-            config = json.loads(line)
+            try:
+                config = json.loads(line)
+            except json.JSONDecodeError as e:
+                fail(f"corrupt config JSON: {e.msg} at column {e.colno}", lineno)
         elif state == "vocab":
             if not line:
                 continue
@@ -194,7 +202,10 @@ def _load_text(lines):
             except ValueError:
                 fail(f"malformed vocab line: {line!r}", lineno)
         elif state == "array":
-            pending[3].extend(float(x) for x in line.split())
+            try:
+                pending[3].extend(float(x) for x in line.split())
+            except ValueError as e:
+                fail(f"array section {pending[0]!r}: {e}", lineno)
         elif state == "done" and line:
             fail("trailing data after end section", lineno)
     if pending is not None:
@@ -259,38 +270,41 @@ def _load_binary(f):
             raise SerializationError(f"byte {off}: truncated section name length")
         (nlen,) = struct.unpack_from("<I", data, off)
         off += 4
-        name = data[off:off + nlen].decode("utf-8")
+        name = _utf8(data[off:off + nlen], off, "section name")
         off += nlen
         if off + 8 > len(data):
             raise SerializationError(f"byte {off}: truncated section {name!r}")
         (plen,) = struct.unpack_from("<Q", data, off)
         off += 8
-        payload = data[off:off + plen]
+        start, off = off, off + plen
+        payload = data[start:off]
         if len(payload) != plen:
-            raise SerializationError(f"byte {off}: truncated section {name!r}")
-        off += plen
+            raise SerializationError(f"byte {start}: truncated section {name!r}")
         if name == "header":
-            header = json.loads(payload)
+            header = _json_object(payload, start, "header")
         elif name == "config":
-            config = json.loads(payload)
+            config = _json_object(payload, start, "config")
         elif name == "vocab":
-            for line in payload.decode("utf-8").splitlines():
-                w, c = line.split("\t")
-                words.append(w)
-                counts.append(int(c))
+            for i, line in enumerate(_utf8(payload, start, "vocab").splitlines(), 1):
+                try:
+                    w, c = line.split("\t")
+                    counts.append(int(c))
+                    words.append(w)
+                except ValueError:
+                    raise SerializationError(
+                        f"byte {start}: malformed vocab line {i}: {line!r}") from None
         elif name.startswith("array:"):
             if plen < 4:
-                raise SerializationError(f"byte {off - plen}: truncated array meta length")
+                raise SerializationError(f"byte {start}: truncated array meta length")
             (mlen,) = struct.unpack_from("<I", payload, 0)
-            meta = json.loads(payload[4:4 + mlen])
-            dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-            arr = np.frombuffer(payload[4 + mlen:], dtype=dtype)
-            expected = int(np.prod(meta["shape"])) if meta["shape"] else 1
-            if arr.size != expected:
+            meta = _json_object(payload[4:4 + mlen], start + 4, f"{name} meta")
+            try:
+                dtype = np.dtype(meta["dtype"]).newbyteorder("<")
+                arr = np.frombuffer(payload[4 + mlen:], dtype=dtype).reshape(meta["shape"])
+            except (KeyError, TypeError, ValueError) as e:
                 raise SerializationError(
-                    f"corrupt array section {name[6:]!r}: "
-                    f"{arr.size} values, expected {expected}")
-            arrays[name[6:]] = arr.reshape(meta["shape"]).astype(meta["dtype"])
+                    f"byte {start}: corrupt array section {name[6:]!r}: {e}") from None
+            arrays[name[6:]] = arr.astype(meta["dtype"])
         elif name == "end":
             saw_end = True
         else:
@@ -300,6 +314,27 @@ def _load_binary(f):
     if header is not None:
         header = {k: str(v) for k, v in header.items()}
     return _assemble(header, config, words, counts, arrays)
+
+
+def _utf8(raw, start, what):
+    """raw decoded as UTF-8; a failure names its byte, raw starting at start."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise SerializationError(f"byte {start + e.start}: {what} is not UTF-8") from None
+
+
+def _json_object(raw, start, what):
+    """A JSON object from a binary section; a failure names its byte."""
+    text = _utf8(raw, start, what)
+    try:
+        obj = json.loads(text)
+    except json.JSONDecodeError as e:
+        at = start + len(text[:e.pos].encode("utf-8"))
+        raise SerializationError(f"byte {at}: corrupt {what} JSON: {e.msg}") from None
+    if not isinstance(obj, dict):
+        raise SerializationError(f"byte {start}: {what} JSON is not an object")
+    return obj
 
 
 def _assemble(header, config, words, counts, arrays):
@@ -339,7 +374,13 @@ def load_model(path) -> ModelBundle:
         if head == MAGIC:
             return _load_binary(f)
         text = io.TextIOWrapper(f, encoding="utf-8")
-        return _load_text(text)
+        try:
+            return _load_text(text)
+        except UnicodeDecodeError:
+            # the decoder reads ahead in blocks, so find the byte in one pass
+            f.seek(0)
+            _utf8(f.read(), 0, "text model file")
+            raise
 
 
 # ----------------------------------------------------------------- inspection

@@ -89,18 +89,30 @@ class TestWindowLoss:
             assert loss >= prior_kl - 1e-10
             assert loss >= -1e-10
 
-    def test_soft_equals_hinge_at_zero_margin_when_active(self):
-        rng = np.random.default_rng(2)
-        v = tiny_vocab(8)
-        for _ in range(100):
-            model = perturbed_bsg_model(v, cfg64(), rng)
-            h = one_window_loss(model, 0, [1], [2], cfg64(margin=0.0))
-            s = one_window_loss(model, 0, [1], [2], cfg64(objective="soft"))
-            q = model.posterior(0, [1])
-            arg = (kl_divergence(q, model.ctx_gaussian(1))
-                   - kl_divergence(q, model.ctx_gaussian(2)))
-            if arg >= 0:
-                assert h == pytest.approx(s, abs=1e-10)
+    def test_soft_hand_value(self):
+        # the fixture of test_hand_fixture_inactive_hinge: the hinge argument
+        # is x = 0.5 - 2 + 1 = -0.5, so the soft loss is log(1 + e^-0.5) and
+        # the positive context mean gets dKL(q||pos)/dmu_pos = 1 weighted by
+        # sigmoid(-0.5)
+        v = tiny_vocab(4)
+        model, cfg = onedim_model(v, ctx_rows={1: (1.0, 0.0), 2: (-2.0, 0.0)})
+        cfg = cfg64(dim=1, hidden_dim=2, objective="soft")
+        g = batch_gradients(model, *single_window(0, [1], [2]), cfg)
+        assert g.losses[0] == pytest.approx(0.47407698418010663, abs=1e-12)
+        ids, d_ctx = g.rows["ctx_mean"]
+        assert list(ids) == [1, 2]
+        assert d_ctx[0, 0] == pytest.approx(0.3775406687981454, abs=1e-12)
+        # dKL(q||neg)/dmu_neg = -(0 - (-2)) = -2, entering with a minus sign
+        assert d_ctx[1, 0] == pytest.approx(2 * 0.3775406687981454, abs=1e-12)
+
+    def test_soft_is_bounded_below_by_the_prior_kl(self):
+        # a hinge argument of -1011.5: the soft term underflows to 0, where
+        # the raw difference it replaces was -1011.5
+        v = tiny_vocab(4)
+        model, _ = onedim_model(v, ctx_rows={1: (0.0, 0.0), 2: (45.0, 0.0)})
+        loss = one_window_loss(model, 0, [1], [2], cfg64(dim=1, hidden_dim=2,
+                                                         objective="soft"))
+        assert 0.0 <= loss < 1e-300
 
     def test_length_mismatch(self):
         v = tiny_vocab(6)

@@ -6,6 +6,7 @@ import pytest
 
 from bayesgram.baselines import init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
+from bayesgram.cli import main
 from bayesgram.corpus import Vocabulary
 from bayesgram.gauss import kl_divergence
 from bayesgram.serialize import (ModelBundle, SerializationError,
@@ -182,6 +183,50 @@ class TestCorruptFiles:
                          + name + struct.pack("<Q", 2) + b"{}")
         with pytest.raises(SerializationError, match="byte 27: truncated array meta"):
             load_model(path)
+
+
+# (format, bytes of a saved sg model, same-length replacement, where it fails)
+CORRUPTIONS = {
+    "binary-vocab-line-without-tab":
+        ("binary", b"w3\t4\n", b"w3 4\n", r"byte \d+: malformed vocab line 4"),
+    "binary-header-json":
+        ("binary", b'"dim": 3', b'"dim"; 3', r"byte \d+: corrupt header JSON"),
+    "binary-config-json":
+        ("binary", b'{"seed": 0}', b'{"seed"; 0}', r"byte \d+: corrupt config JSON"),
+    "binary-array-meta-json":
+        ("binary", b'{"dtype": "float32"', b'{"dtype"; "float32"',
+         r"byte \d+: corrupt array:in_vec meta JSON"),
+    "binary-vocab-not-utf8":
+        ("binary", b"w5\t6", b"\xff5\t6", r"byte \d+: vocab is not UTF-8"),
+    "text-not-utf8":
+        ("text", b"w5\t6", b"\xff5\t6", r"byte \d+: text model file is not UTF-8"),
+    "text-config-json":
+        ("text", b'{"seed": 0}', b'{"seed"; 0}', r"line 7: corrupt config JSON"),
+    "text-array-not-a-number":
+        ("text", b"\n0.0", b"\nx.0", r"line 18: array section 'in_vec'"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CORRUPTIONS))
+class TestCorruptionNamesByteOrLine:
+    def corrupted(self, tmp_path, case):
+        mode, old, new, _ = CORRUPTIONS[case]
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle_from_model(make_model("sg"), config={"seed": 0}), path, mode)
+        data = path.read_bytes()
+        assert data.count(old) >= 1 and len(old) == len(new)
+        path.write_bytes(data.replace(old, new, 1))
+        return path
+
+    def test_load_raises_serialization_error(self, tmp_path, case):
+        with pytest.raises(SerializationError, match=CORRUPTIONS[case][3]):
+            load_model(self.corrupted(tmp_path, case))
+
+    def test_cli_prints_one_error_line(self, tmp_path, case, capsys):
+        assert main(["nearest", str(self.corrupted(tmp_path, case)), "w0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "byte " in err or "line " in err
 
 
 class TestSectionLikeWords:
