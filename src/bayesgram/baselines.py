@@ -129,24 +129,17 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
                                "log_var": rows(gla_p, glb_p, gla_n, glb_n)})
 
 
-def clip_params(model: W2gModel, rows=None):
-    """Project means into the norm ball and variances into bounds, over every
-    row or over the given row ids. Returns the ids of the rows whose mean was
-    rescaled: in float32 a rescaled row can still lie outside the ball, so
-    only those rows may move if projected again."""
-    mean = model.mean if rows is None else model.mean[rows]
-    norms = np.linalg.norm(np.asarray(mean, dtype=np.float64), axis=1)
-    over = np.flatnonzero(norms > model.max_mean_norm)
-    if len(over):
-        scale = (model.max_mean_norm / norms[over]).astype(model.mean.dtype)
-        if rows is not None:
-            over = rows[over]
-        model.mean[over] *= scale[:, None]
-    log_var = model.log_var if rows is None else model.log_var[rows]
-    np.clip(log_var, np.log(model.var_lo), np.log(model.var_hi), out=log_var)
-    if rows is not None:
-        model.log_var[rows] = log_var
-    return over
+def clip_params(model: W2gModel) -> W2gModel:
+    """Project means into the norm ball and variances into bounds. Idempotent."""
+    norms = np.linalg.norm(np.asarray(model.mean, dtype=np.float64), axis=1)
+    over = norms > model.max_mean_norm
+    if np.any(over):
+        scale = np.ones_like(norms)
+        scale[over] = model.max_mean_norm / norms[over]
+        model.mean *= scale[:, None].astype(model.mean.dtype)
+    np.clip(model.log_var, np.log(model.var_lo), np.log(model.var_hi),
+            out=model.log_var)
+    return model
 
 
 def init_sg_model(vocab, cfg: TrainConfig, rng) -> SgModel:
@@ -189,17 +182,9 @@ def train_baseline(kind: str, corpus_path, vocab: Vocabulary, cfg: TrainConfig,
         cov_kind = "spherical" if kind == "w2g_s" else "diagonal"
         model = init_w2g_model(vocab, cfg, rng, cov_kind, **w2g_kwargs)
         grad_of_batch = partial(w2g_batch_gradients, model, margin=cfg.margin)
-        rescaled = None     # before the first step: project every row
 
-        def post_batch(opt):
-            # Only rows the step moved, or the last projection rescaled, can
-            # move now; every other row is a fixed point of the projection.
-            nonlocal rescaled
-            rows = [opt.stepped_rows("mean"), opt.stepped_rows("log_var"), rescaled]
-            if any(r is None for r in rows):
-                rescaled = clip_params(model)
-            else:
-                rescaled = clip_params(model, np.unique(np.concatenate(rows)))
+        def post_batch(_params):
+            clip_params(model)
 
     run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
                       grad_of_batch, lr=lr, post_batch=post_batch,

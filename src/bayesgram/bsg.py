@@ -297,10 +297,10 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     batch. A non-finite window loss raises NumericalError before the batch
     touches any parameter; otherwise Adam accumulates the gradients into its
     64-bit gradient sums and steps on their mean over the batch's windows,
-    zeroing the sums as it goes. post_batch(opt), when given, runs after
-    every step (used for projection/clipping; opt.stepped_rows names the rows
-    the step moved). Deterministic given cfg.seed: the pipeline is a
-    single sequential pass. Telemetry CSV goes to log_path or $BSG_LOG.
+    zeroing the sums as it goes. post_batch(params), when given, runs after
+    every step (used for projection/clipping). Deterministic given cfg.seed:
+    the pipeline is a single sequential pass. Telemetry CSV goes to log_path
+    or $BSG_LOG.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
@@ -320,7 +320,7 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                 n_windows = len(grads.losses)
                 opt.step(n_windows)
                 if post_batch is not None:
-                    post_batch(opt)
+                    post_batch(params)
                 batch_loss = float(grads.losses.sum())
                 examples_seen += int(mask.sum()) * neg.shape[1]   # k tasks per positive
                 telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)

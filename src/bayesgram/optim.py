@@ -96,10 +96,6 @@ class Adam:
                 seen[ids[fresh]] = True
                 self._stale.add(k)
 
-    def stepped_rows(self, name):
-        """Row ids of a table the last step updated, or None for every row."""
-        return self._live.get(name)
-
     def _refresh(self):
         """Bring the plan up to the rows seen since the last step."""
         for k in self._stale:

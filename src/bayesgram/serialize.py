@@ -283,7 +283,7 @@ def _load_binary(f):
         if name == "header":
             header = _json_object(payload, start, "header")
         elif name == "config":
-            config = _json_object(payload, start, "config")
+            config = _json(payload, start, "config")   # null reads as {}, as in text
         elif name == "vocab":
             for i, line in enumerate(_utf8(payload, start, "vocab").splitlines(), 1):
                 try:
@@ -324,14 +324,19 @@ def _utf8(raw, start, what):
         raise SerializationError(f"byte {start + e.start}: {what} is not UTF-8") from None
 
 
-def _json_object(raw, start, what):
-    """A JSON object from a binary section; a failure names its byte."""
+def _json(raw, start, what):
+    """The JSON value of a binary section; a failure names its byte."""
     text = _utf8(raw, start, what)
     try:
-        obj = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as e:
         at = start + len(text[:e.pos].encode("utf-8"))
         raise SerializationError(f"byte {at}: corrupt {what} JSON: {e.msg}") from None
+
+
+def _json_object(raw, start, what):
+    """A JSON object from a binary section; a failure names its byte."""
+    obj = _json(raw, start, what)
     if not isinstance(obj, dict):
         raise SerializationError(f"byte {start}: {what} JSON is not an object")
     return obj

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import struct
 
@@ -63,6 +64,12 @@ class TestRoundTrip:
         b = load_model(tmp_path / "m.bin")
         for name in bundle.arrays:
             assert np.array_equal(a.arrays[name], b.arrays[name])
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_null_config_reads_as_empty(self, tmp_path, mode):
+        bundle = dataclasses.replace(bundle_from_model(make_model("bsg")), config=None)
+        save_model(bundle, tmp_path / "m", mode)
+        assert load_model(tmp_path / "m").config == {}
 
     def test_binary_byte_identical(self, tmp_path):
         bundle = bundle_from_model(make_model("bsg"), config={"seed": 5})
