@@ -15,6 +15,8 @@ import numpy as np
 from .bsg import (BatchGrads, TrainConfig, _fold, _gather, _kl_parts, init_rng,
                   run_training_loop)
 from .corpus import Vocabulary
+from .encoder import uniform_table
+from .optim import CHUNK
 
 __all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "w2g_batch_gradients",
            "clip_params", "train_baseline"]
@@ -130,13 +132,21 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
 
 
 def clip_params(model: W2gModel) -> W2gModel:
-    """Project means into the norm ball and variances into bounds. Idempotent."""
-    norms = np.linalg.norm(np.asarray(model.mean, dtype=np.float64), axis=1)
-    over = norms > model.max_mean_norm
-    if np.any(over):
-        scale = np.ones_like(norms)
-        scale[over] = model.max_mean_norm / norms[over]
-        model.mean *= scale[:, None].astype(model.mean.dtype)
+    """Project means into the norm ball and variances into bounds. Idempotent.
+
+    Row norms are taken in float64 one block of rows at a time, and only the
+    rows over the bound are rescaled: a row within it would be multiplied by
+    1.0, which leaves it as it is.
+    """
+    mean = model.mean
+    step = max(1, CHUNK // max(1, mean.shape[1]))
+    for lo in range(0, len(mean), step):
+        block = mean[lo:lo + step]
+        norms = np.linalg.norm(np.asarray(block, dtype=np.float64), axis=1)
+        over = np.flatnonzero(norms > model.max_mean_norm)
+        if len(over):
+            scale = (model.max_mean_norm / norms[over]).astype(mean.dtype)
+            block[over] *= scale[:, None]
     np.clip(model.log_var, np.log(model.var_lo), np.log(model.var_hi),
             out=model.log_var)
     return model
@@ -146,7 +156,7 @@ def init_sg_model(vocab, cfg: TrainConfig, rng) -> SgModel:
     V, d = len(vocab), cfg.dim
     dtype = np.dtype(cfg.param_dtype)
     return SgModel(vocab=vocab, dim=d,
-                   in_vec=rng.uniform(-0.5 / d, 0.5 / d, size=(V, d)).astype(dtype),
+                   in_vec=uniform_table(rng, 0.5 / d, (V, d), dtype),
                    out_vec=np.zeros((V, d), dtype=dtype))
 
 
@@ -157,7 +167,7 @@ def init_w2g_model(vocab, cfg: TrainConfig, rng, cov_kind,
     dtype = np.dtype(cfg.param_dtype)
     lv_shape = (V,) if cov_kind == "spherical" else (V, d)
     return W2gModel(vocab=vocab, cov_kind=cov_kind, dim=d,
-                    mean=rng.uniform(-0.5 / d, 0.5 / d, size=(V, d)).astype(dtype),
+                    mean=uniform_table(rng, 0.5 / d, (V, d), dtype),
                     log_var=np.zeros(lv_shape, dtype=dtype),
                     energy_kind=energy_kind, max_mean_norm=max_mean_norm,
                     var_lo=var_lo, var_hi=var_hi)

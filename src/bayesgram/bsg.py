@@ -20,7 +20,7 @@ import numpy as np
 from .corpus import Vocabulary, iter_training_batches
 from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it here)
 from .encoder import (EncoderParams, backward_batch, encode_batch, infer_posterior,
-                      init_encoder)
+                      init_encoder, uniform_table)
 from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
 from .gauss import _LOG_2PI, Gaussian, kl_divergence
 from .optim import Adam
@@ -103,12 +103,10 @@ def init_bsg_model(vocab: Vocabulary, cfg: TrainConfig,
                    rng: np.random.Generator) -> BsgModel:
     V, d = len(vocab), cfg.dim
     dtype = np.dtype(cfg.param_dtype)
-    prior_mean = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d)).astype(dtype)
-    ctx_mean = rng.uniform(-0.5 / d, 0.5 / d, size=(V, d)).astype(dtype)
+    prior_mean = uniform_table(rng, 0.5 / d, (V, d), dtype)
+    ctx_mean = uniform_table(rng, 0.5 / d, (V, d), dtype)
     lv_shape = (V,) if cfg.cov_kind == "spherical" else (V, d)
-    enc = init_encoder(V, d, cfg.d_h, cfg.cov_kind, rng)
-    for name in ("R", "M", "U", "b1", "W", "b2"):
-        setattr(enc, name, getattr(enc, name).astype(dtype))
+    enc = init_encoder(V, d, cfg.d_h, cfg.cov_kind, rng, dtype)
     return BsgModel(vocab=vocab, cov_kind=cfg.cov_kind, dim=d,
                     prior_mean=prior_mean,
                     prior_log_var=np.zeros(lv_shape, dtype=dtype),
@@ -161,10 +159,20 @@ class BatchGrads:
     dense: dict = field(default_factory=dict)
 
     def scatter(self, buffers: dict):
-        """Add into dense buffers keyed like the parameters; repeated rows add up."""
+        """Add into C-contiguous dense buffers keyed like the parameters;
+        repeated rows add up, each element in the order of the ids.
+
+        Each row is spread to one flat element index per value, so np.add.at
+        runs its fast 1-D loop over a flat view of the buffer.
+        """
         for name, (ids, g) in self.rows.items():
             buf = buffers[name]
-            np.add.at(buf, ids, g.reshape((len(ids),) + buf.shape[1:]))
+            if not buf.flags.c_contiguous:
+                raise ValueError(f"gradient buffer {name!r} is not C-contiguous")
+            width = buf.size // len(buf)
+            flat = (np.asarray(ids, dtype=np.intp)[:, None] * width
+                    + np.arange(width)).reshape(-1)
+            np.add.at(buf.reshape(-1), flat, np.reshape(g, -1))
         for name, g in self.dense.items():
             buffers[name] += g
 

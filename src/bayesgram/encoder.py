@@ -13,9 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .gauss import Gaussian
+from .optim import CHUNK
 
-__all__ = ["EncoderParams", "init_encoder", "infer_posterior", "encode_batch",
-           "backward_batch", "encoder_backward"]
+__all__ = ["EncoderParams", "init_encoder", "uniform_table", "infer_posterior",
+           "encode_batch", "backward_batch", "encoder_backward"]
 
 
 @dataclass
@@ -52,22 +53,34 @@ class EncoderParams:
         return "spherical" if self.W.shape[0] == 1 else "diagonal"
 
 
+def uniform_table(rng: np.random.Generator, bound: float, shape, dtype) -> np.ndarray:
+    """rng.uniform(-bound, bound, size=shape).astype(dtype), drawn CHUNK values
+    at a time: each value takes one draw of the generator, so the chunks
+    draw what one call would, without its float64 temporary of a whole table."""
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    for lo in range(0, flat.size, CHUNK):
+        flat[lo:lo + CHUNK] = rng.uniform(-bound, bound, size=min(CHUNK, flat.size - lo))
+    return out
+
+
 def init_encoder(vocab_size: int, d: int, d_h: int, cov_kind: str,
-                 rng: np.random.Generator) -> EncoderParams:
-    """Glorot-uniform weights, zero biases, small uniform input embeddings."""
+                 rng: np.random.Generator, dtype=np.float64) -> EncoderParams:
+    """Glorot-uniform weights, zero biases, small uniform input embeddings,
+    all stored in dtype."""
 
     def glorot(rows, cols):
         bound = np.sqrt(6.0 / (rows + cols))
-        return rng.uniform(-bound, bound, size=(rows, cols))
+        return rng.uniform(-bound, bound, size=(rows, cols)).astype(dtype)
 
     k = 1 if cov_kind == "spherical" else d
     return EncoderParams(
-        R=rng.uniform(-0.5 / d, 0.5 / d, size=(vocab_size, d)),
+        R=uniform_table(rng, 0.5 / d, (vocab_size, d), dtype),
         M=glorot(d_h, 2 * d),
         U=glorot(d, d_h),
-        b1=np.zeros(d),
+        b1=np.zeros(d, dtype=dtype),
         W=glorot(k, d_h),
-        b2=np.zeros(k),
+        b2=np.zeros(k, dtype=dtype),
     )
 
 

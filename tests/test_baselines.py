@@ -9,6 +9,7 @@ from bayesgram.baselines import (SgModel, W2gModel, _energy_parts, clip_params,
                                  train_baseline, w2g_batch_gradients)
 from bayesgram.bsg import TrainConfig
 from bayesgram.corpus import build_vocabulary, iter_documents, single_window
+from bayesgram.optim import CHUNK
 
 from helpers import kernel_gradcheck, rel_err, tiny_vocab
 
@@ -174,6 +175,25 @@ class TestClipParams:
         clip_params(m)
         assert np.exp(m.log_var[0]) == pytest.approx(m.var_hi)
         assert np.exp(m.log_var[1]) == pytest.approx(m.var_lo)
+
+    def test_blockwise_projection(self):
+        d = 4
+        block = CHUNK // d                   # rows per block of the projection
+        rng = np.random.default_rng(3)
+        m = w2g_model(V=3 * block + 10, d=d, rng=rng)
+        m.mean = m.mean.astype(np.float32)
+        m.max_mean_norm = 2.0
+        over = [0, block - 1, block, block + 1, 2 * block + 7, 3 * block + 9]
+        m.mean[over] *= 10.0
+        norms0 = np.linalg.norm(m.mean.astype(np.float64), axis=1)
+        assert (norms0[over] > 2.0).all()
+        under = norms0 <= 2.0
+        assert under.sum() > 0.9 * len(under)
+        mean0 = m.mean.copy()
+        clip_params(m)
+        assert m.mean[under].tobytes() == mean0[under].tobytes()
+        norms = np.linalg.norm(m.mean.astype(np.float64), axis=1)
+        assert norms[over] == pytest.approx(2.0, rel=1e-6)
 
     def test_idempotent(self):
         rng = np.random.default_rng(5)

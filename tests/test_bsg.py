@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from bayesgram import bsg, oracles
-from bayesgram.bsg import (BsgModel, TrainConfig, batch_gradients, elbo_estimate,
-                           init_bsg_model, reparameterize, train)
+from bayesgram.bsg import (BatchGrads, BsgModel, TrainConfig, batch_gradients,
+                           elbo_estimate, init_bsg_model, reparameterize, train)
 from bayesgram.corpus import Vocabulary, build_vocabulary, iter_documents, single_window
 from bayesgram.gauss import Gaussian, kl_divergence
 
@@ -175,6 +175,31 @@ class TestWindowLossGradients:
             kernel = partial(batch_gradients, model, cfg=cfg)
             batch = single_window(center, pos, neg)
             assert kernel_gradcheck(kernel, model.param_arrays(), batch) <= 1e-4
+
+
+class TestScatter:
+    @pytest.mark.parametrize("table_shape,row_shape", [
+        ((50,), (1,)),          # spherical log-variance: a 1-D table
+        ((50, 7), (7,)),
+    ])
+    def test_matches_row_loop_bit_for_bit(self, table_shape, row_shape):
+        rng = np.random.default_rng(2)
+        ids = rng.integers(0, 10, size=400)                # every id repeats
+        # magnitudes over 12 decades: the sum depends on the order of additions
+        g = rng.normal(size=(400,) + row_shape) * 10.0 ** rng.integers(-6, 6, (400, 1))
+        buf = rng.normal(size=table_shape)
+        expected = buf.copy()
+        for i, r in enumerate(ids):
+            expected[r] += g[i].reshape(table_shape[1:])
+        BatchGrads(np.zeros(1), {"t": (ids, g)}).scatter({"t": buf})
+        assert buf.tobytes() == expected.tobytes()
+
+    def test_non_contiguous_buffer_raises(self):
+        buf = np.zeros((6, 8))[:, ::2]
+        grads = BatchGrads(np.zeros(1), {"t": (np.array([1, 1]), np.ones((2, 4)))})
+        with pytest.raises(ValueError, match="C-contiguous"):
+            grads.scatter({"t": buf})
+        assert not buf.any()
 
 
 class TestElboEstimate:

@@ -3,7 +3,8 @@ import pytest
 
 from bayesgram.bsg import BatchGrads
 from bayesgram.encoder import (EncoderParams, encoder_backward, infer_posterior,
-                               init_encoder)
+                               init_encoder, uniform_table)
+from bayesgram.optim import CHUNK
 from bayesgram.oracles import finite_diff_grad
 
 from helpers import rel_err
@@ -32,6 +33,28 @@ def random_encoder(rng, V=6, d=3, d_h=4, cov_kind="spherical", scale=0.5):
         arr = getattr(enc, name)
         arr += rng.normal(scale=scale, size=arr.shape)
     return enc
+
+
+class TestInit:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_uniform_table_is_one_draw(self, dtype):
+        shape = (2 * CHUNK // 17 + 5, 17)      # three chunks, the last one short
+        assert np.prod(shape) % CHUNK != 0 and np.prod(shape) > 2 * CHUNK
+        a, b = np.random.default_rng(8), np.random.default_rng(8)
+        table = uniform_table(a, 0.03, shape, dtype)
+        expected = b.uniform(-0.03, 0.03, size=shape).astype(dtype)
+        assert table.dtype == dtype and table.shape == shape
+        assert table.tobytes() == expected.tobytes()
+        assert a.random(5).tobytes() == b.random(5).tobytes()
+
+    def test_encoder_dtype_casts_the_float64_draws(self):
+        enc64 = init_encoder(CHUNK // 3 + 1, 3, 4, "diagonal", np.random.default_rng(1))
+        enc32 = init_encoder(CHUNK // 3 + 1, 3, 4, "diagonal", np.random.default_rng(1),
+                             dtype=np.float32)
+        for name in NAMES:
+            a, b = getattr(enc64, name), getattr(enc32, name)
+            assert a.dtype == np.float64 and b.dtype == np.float32
+            assert b.tobytes() == a.astype(np.float32).tobytes()
 
 
 class TestInferPosterior:
