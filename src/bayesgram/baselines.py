@@ -131,22 +131,35 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
                                "log_var": rows(gla_p, glb_p, gla_n, glb_n)})
 
 
+def _row_norms(x):
+    return np.linalg.norm(np.asarray(x, dtype=np.float64), axis=1)
+
+
 def clip_params(model: W2gModel) -> W2gModel:
-    """Project means into the norm ball and variances into bounds. Idempotent.
+    """Project means into the norm ball and variances into bounds. Idempotent:
+    every projected row's float64 norm is at most max_mean_norm.
 
     Row norms are taken in float64 one block of rows at a time, and only the
     rows over the bound are rescaled: a row within it would be multiplied by
-    1.0, which leaves it as it is.
+    1.0, which leaves it as it is. A row that rounding leaves just over the
+    bound has its scale stepped down one ulp at a time until it is not.
     """
-    mean = model.mean
-    step = max(1, CHUNK // max(1, mean.shape[1]))
+    mean, bound = model.mean, model.max_mean_norm
+    step = max(1, CHUNK // mean.shape[1])
     for lo in range(0, len(mean), step):
         block = mean[lo:lo + step]
-        norms = np.linalg.norm(np.asarray(block, dtype=np.float64), axis=1)
-        over = np.flatnonzero(norms > model.max_mean_norm)
+        norms = _row_norms(block)
+        over = np.flatnonzero(norms > bound)
         if len(over):
-            scale = (model.max_mean_norm / norms[over]).astype(mean.dtype)
-            block[over] *= scale[:, None]
+            rows = block[over]
+            scale = (bound / norms[over]).astype(mean.dtype)
+            while True:
+                scaled = rows * scale[:, None]
+                high = (_row_norms(scaled) > bound) & (scale != 0)
+                if not high.any():
+                    break
+                scale[high] = np.nextafter(scale[high], mean.dtype.type(0))
+            block[over] = scaled
     np.clip(model.log_var, np.log(model.var_lo), np.log(model.var_hi),
             out=model.log_var)
     return model

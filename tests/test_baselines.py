@@ -193,10 +193,12 @@ class TestClipParams:
         clip_params(m)
         assert m.mean[under].tobytes() == mean0[under].tobytes()
         norms = np.linalg.norm(m.mean.astype(np.float64), axis=1)
+        assert (norms <= 2.0).all()
         assert norms[over] == pytest.approx(2.0, rel=1e-6)
 
-    def test_idempotent(self):
-        rng = np.random.default_rng(5)
+    @pytest.mark.parametrize("seed", range(20))
+    def test_idempotent(self, seed):
+        rng = np.random.default_rng(seed)
         m = w2g_model(rng=rng)
         m.mean *= 100
         m.log_var *= 10
