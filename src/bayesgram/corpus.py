@@ -83,9 +83,15 @@ class Vocabulary:
     @classmethod
     def load(cls, path, subsample_t=1e-4, neg_table_exponent=1.0):
         words, counts = [], []
-        with open(path, encoding="utf-8") as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.rstrip("\n")
+        with open(path, "rb") as f:
+            offset = 0
+            for lineno, raw in enumerate(f, 1):
+                try:
+                    line = raw.decode("utf-8").rstrip("\r\n")
+                except UnicodeDecodeError as e:
+                    raise CorpusError(f"non-UTF-8 vocabulary line {lineno} "
+                                      f"at byte offset {offset + e.start}")
+                offset += len(raw)
                 if not line:
                     continue
                 try:

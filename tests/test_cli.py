@@ -67,6 +67,14 @@ class TestTrain:
                      "--window", "2", "--epochs", "0", "--format", "text"]) == 0
         assert out.read_text().startswith("#SECTION header")
 
+    def test_non_utf8_vocabulary(self, workdir, tmp_path, capsys):
+        vocab = tmp_path / "v.tsv"
+        vocab.write_bytes(b"a\t3\nb\xff\t2\n")
+        assert main(["train", str(workdir / "corpus.txt"), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "m.bin")]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: non-UTF-8 vocabulary line 2 at byte offset 5\n"
+
     def test_telemetry_log(self, workdir, tmp_path):
         log = tmp_path / "log.csv"
         assert main(["train", str(workdir / "corpus.txt"),
