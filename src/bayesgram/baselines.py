@@ -155,6 +155,7 @@ def clip_params(model: W2gModel) -> W2gModel:
             scale = (bound / norms[over]).astype(mean.dtype)
             while True:
                 scaled = rows * scale[:, None]
+                # a scale of 0 cannot step further (only a negative bound gets there)
                 high = (_row_norms(scaled) > bound) & (scale != 0)
                 if not high.any():
                     break

@@ -196,17 +196,17 @@ class TestClipParams:
         assert (norms <= 2.0).all()
         assert norms[over] == pytest.approx(2.0, rel=1e-6)
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_idempotent(self, seed):
-        rng = np.random.default_rng(seed)
-        m = w2g_model(rng=rng)
-        m.mean *= 100
-        m.log_var *= 10
-        clip_params(m)
-        mean1, lv1 = m.mean.copy(), m.log_var.copy()
-        clip_params(m)
-        assert np.array_equal(m.mean, mean1)
-        assert np.array_equal(m.log_var, lv1)
+    def test_idempotent(self):
+        for seed in range(20):     # 11 of these seeds failed a one-rescale projection
+            rng = np.random.default_rng(seed)
+            m = w2g_model(rng=rng)
+            m.mean *= 100
+            m.log_var *= 10
+            clip_params(m)
+            mean1, lv1 = m.mean.copy(), m.log_var.copy()
+            clip_params(m)
+            assert np.array_equal(m.mean, mean1), f"seed {seed}"
+            assert np.array_equal(m.log_var, lv1), f"seed {seed}"
 
 
 @pytest.fixture(scope="module")
