@@ -161,8 +161,11 @@ def clip_params(model: W2gModel) -> W2gModel:
                     break
                 scale[high] = np.nextafter(scale[high], mean.dtype.type(0))
             block[over] = scaled
-    np.clip(model.log_var, np.log(model.var_lo), np.log(model.var_hi),
-            out=model.log_var)
+    # bounds in the storage dtype, so a float32 clamp takes no float64 pass;
+    # the values are the same, as no float32 lies between a bound and its rounding
+    lv = model.log_var
+    np.clip(lv, lv.dtype.type(np.log(model.var_lo)), lv.dtype.type(np.log(model.var_hi)),
+            out=lv)
     return model
 
 
@@ -210,9 +213,9 @@ def train_baseline(kind: str, corpus_path, vocab: Vocabulary, cfg: TrainConfig,
         def post_batch(_params):
             clip_params(model)
 
-    run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
-                      grad_of_batch, lr=lr, post_batch=post_batch,
-                      log_path=log_path, epoch_losses=epoch_losses)
-    if kind != "sg":
+    steps = run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
+                              grad_of_batch, lr=lr, post_batch=post_batch,
+                              log_path=log_path, epoch_losses=epoch_losses)
+    if kind != "sg" and not steps:     # every step already ended in a projection
         clip_params(model)
     return model

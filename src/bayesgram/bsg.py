@@ -308,7 +308,7 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     zeroing the sums as it goes. post_batch(params), when given, runs after
     every step (used for projection/clipping). Deterministic given cfg.seed:
     the pipeline is a single sequential pass. Telemetry CSV goes to log_path
-    or $BSG_LOG.
+    or $BSG_LOG. Returns the number of steps taken.
     """
     opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
     telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
@@ -339,6 +339,7 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                 epoch_losses.append(epoch_loss / epoch_windows)
     finally:
         telemetry.close()
+    return batch_idx
 
 
 def train(corpus_path, vocab: Vocabulary, cfg: TrainConfig,

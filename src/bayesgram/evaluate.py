@@ -140,7 +140,9 @@ def best_f1_threshold(scores, labels):
     scores = scores[order]
     pos_below = np.r_[0, np.cumsum(labels[order])]   # positives among the i lowest
     distinct = np.unique(scores)
-    candidates = np.sort(np.r_[-np.inf, 0.5 * (distinct[:-1] + distinct[1:]), np.inf])
+    # halves first: 0.5 * (a + b) overflows near the float64 maximum
+    mid = 0.5 * distinct[:-1] + 0.5 * distinct[1:]
+    candidates = np.sort(np.r_[-np.inf, mid, np.inf])
     below = np.searchsorted(scores, candidates, side="left")   # count of s < t
     tp = pos_below[-1] - pos_below[below]
     f1 = 2 * tp / (len(scores) - below + pos_below[-1])   # 2tp / (2tp + fp + fn)

@@ -3,11 +3,11 @@ from functools import partial
 import numpy as np
 import pytest
 
-from bayesgram import oracles
+from bayesgram import baselines, oracles
 from bayesgram.baselines import (SgModel, W2gModel, _energy_parts, clip_params,
                                  init_sg_model, init_w2g_model, sg_batch_gradients,
                                  train_baseline, w2g_batch_gradients)
-from bayesgram.bsg import TrainConfig
+from bayesgram.bsg import TrainConfig, init_rng
 from bayesgram.corpus import build_vocabulary, iter_documents, single_window
 from bayesgram.optim import CHUNK
 
@@ -196,6 +196,27 @@ class TestClipParams:
         assert (norms <= 2.0).all()
         assert norms[over] == pytest.approx(2.0, rel=1e-6)
 
+    @pytest.mark.parametrize("var_lo, var_hi", [(1e-3, 10.0), (1.0, 3.0), (0.05, 1.0),
+                                                 (2e-9, 7e5)])
+    def test_float32_clamp_matches_float64_bounds(self, var_lo, var_hi):
+        # the bounds are cast to float32; clamping float32 values against the
+        # float64 bounds and rounding back gives the same bits
+        rng = np.random.default_rng(1)
+        edges = []
+        for bound in np.float32([np.log(var_lo), np.log(var_hi)]):
+            edges += [np.nextafter(bound, np.float32(-np.inf)), bound,
+                      np.nextafter(bound, np.float32(np.inf))]
+        lv = np.concatenate([
+            rng.normal(scale=10.0, size=1000).astype(np.float32),
+            np.float32(edges), np.float32([np.nan, np.inf, -np.inf, -0.0, 0.0])])
+        m = w2g_model(V=len(lv), d=2)
+        m.var_lo, m.var_hi = var_lo, var_hi
+        m.log_var = lv.copy()
+        expect = np.clip(lv.astype(np.float64), np.log(var_lo), np.log(var_hi)).astype(np.float32)
+        clip_params(m)
+        assert m.log_var.dtype == np.float32
+        assert m.log_var.tobytes() == expect.tobytes()
+
     def test_idempotent(self):
         for seed in range(20):     # 11 of these seeds failed a one-rescale projection
             rng = np.random.default_rng(seed)
@@ -251,6 +272,32 @@ class TestTrainBaseline:
         var = np.exp(m.log_var.astype(np.float64))
         assert np.all(var >= m.var_lo - 1e-9)
         assert np.all(var <= m.var_hi + 1e-6)
+
+    @pytest.mark.parametrize("kind", ["w2g_s", "w2g_d"])
+    def test_no_step_still_projects(self, corpus, kind):
+        # epochs=0 takes no step, so no projection after one: the model
+        # must still come back inside the bounds
+        path, vocab = corpus
+        kw = dict(max_mean_norm=0.01, var_lo=2.0)
+        m = train_baseline(kind, path, vocab, self.cfg(epochs=0), **kw)
+        init = init_w2g_model(vocab, self.cfg(epochs=0), init_rng(self.cfg()),
+                              "spherical" if kind == "w2g_s" else "diagonal", **kw)
+        assert np.linalg.norm(init.mean.astype(np.float64), axis=1).min() > 0.01
+        clip_params(init)
+        assert m.mean.tobytes() == init.mean.tobytes()
+        assert m.log_var.tobytes() == init.log_var.tobytes()
+        assert (m.log_var == np.float32(np.log(2.0))).all()
+
+    @pytest.mark.parametrize("kind", ["w2g_s", "w2g_d"])
+    def test_one_projection_per_step(self, corpus, kind, tmp_path, monkeypatch):
+        path, vocab = corpus
+        calls = []
+        monkeypatch.setattr(baselines, "clip_params",
+                            lambda m: calls.append(1) or clip_params(m))
+        log = tmp_path / "log.csv"
+        train_baseline(kind, path, vocab, self.cfg(epochs=2), log_path=log)
+        steps = len(log.read_text().splitlines()) - 1
+        assert steps > 2 and len(calls) == steps
 
     def test_unknown_kind(self, corpus):
         path, vocab = corpus

@@ -117,6 +117,13 @@ class TestBestF1Threshold:
         with pytest.raises(EvalError, match="no positive"):
             best_f1_threshold([0.1, 0.2], [0, 0])
 
+    def test_midpoint_near_float_max(self):
+        # 0.9 max + max overflows; the threshold between them must not be lost
+        big = np.finfo(np.float64).max
+        t, f1 = best_f1_threshold([0.0, 0.9 * big, big], [0, 0, 1])
+        assert f1 == 1.0
+        assert 0.9 * big < t <= big
+
 
 def four_word_model():
     # ids: broad (large var), narrow (unit var), east, west

@@ -1,6 +1,7 @@
 """The flat, chunked Adam against a textbook dense Adam, bit for bit: one
 optimizer on its own, its row-sparse step over the rows training has
-reached, and whole training runs of every model kind."""
+reached with their state in slot order, and whole training runs of every
+model kind."""
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from bayesgram import bsg, oracles, optim
 from bayesgram.baselines import train_baseline
 from bayesgram.bsg import BatchGrads
 from bayesgram.corpus import build_vocabulary, iter_documents
-from bayesgram.optim import CHUNK, DENSE_AT, Adam
+from bayesgram.optim import CHUNK, Adam
 
 
 class DenseAdam:
@@ -117,8 +118,19 @@ def test_rejects_non_contiguous_parameter():
 
 
 def stepped_rows(opt, name):
-    """Row ids of a table the last step updated, or None for every row."""
-    return opt._live.get(name)
+    """Sorted row ids of a table the last step updated, or None for every row."""
+    rows = opt._rows.get(name)
+    return None if rows is None else np.sort(rows)
+
+
+def in_row_order(opt, state):
+    """A state dict (m, v or grads) with each slot-ordered table put back in
+    row order; rows never reached read +0.0, as in the dense update."""
+    out = dict(state)
+    for k, rows in opt._rows.items():
+        out[k] = np.zeros_like(state[k])
+        out[k][rows] = state[k][:len(rows)]
+    return out
 
 
 def _row_batch(rng, params, table, rows):
@@ -146,16 +158,15 @@ def _step_both(opt, ref, batch, count, params, ref_params):
     opt.step(count)
     ref.step(count)
     assert_same_bits(params, ref_params)
-    assert_same_bits(opt.m, ref.m)
-    assert_same_bits(opt.v, ref.v)
+    assert_same_bits(in_row_order(opt, opt.m), ref.m)
+    assert_same_bits(in_row_order(opt, opt.v), ref.v)
     assert not any(g.any() for g in opt.grads.values())
 
 
 def test_gathered_table_straddling_chunks_matches_dense():
     # the table starts and ends inside contiguous chunks of its neighbours,
-    # its width divides no chunk, its seen rows fill several gathered chunks,
-    # the last one partly, and the state is large enough (over 4 MiB per
-    # array) to live in lazily zeroed pages
+    # its width divides no chunk, its reached rows fill several chunks of
+    # slots, the last one partly, and the state is over 4 MiB per array
     n_rows, width = 60_000, 13
     rng, params, ref_params, opt, ref = _sparse_pair({
         "head": ((CHUNK - 3,), "float32"), "t": ((n_rows, width), "float32"),
@@ -168,16 +179,16 @@ def test_gathered_table_straddling_chunks_matches_dense():
         _step_both(opt, ref, batch, count, params, ref_params)
         stepped = stepped_rows(opt, "t")
         assert stepped is not None and stepped.tolist() == sorted(seen)
-    assert 2 * CHUNK < len(seen) * width and len(seen) < DENSE_AT * n_rows
+    assert 2 * CHUNK < len(seen) * width and len(seen) < n_rows
     assert 8 * sum(p.size for p in params.values()) > 1 << 22
     assert stepped_rows(opt, "head") is None and stepped_rows(opt, "tail") is None
 
 
-def test_table_crossing_the_switch_point_matches_dense():
+def test_table_reached_up_to_every_row_matches_dense():
     n_rows = CHUNK + 100
     rng, params, ref_params, opt, ref = _sparse_pair({
         "t": ((n_rows, 3), "float64"), "lv": ((n_rows,), "float32")})
-    fractions = [0.02, DENSE_AT / 2, DENSE_AT - 0.01, DENSE_AT + 0.05, 0.9]
+    fractions = [0.02, 0.15, 0.29, 0.35, 0.9, 1.0]
     order = rng.permutation(n_rows)
     for i, frac in enumerate(fractions):
         rows = order[:int(frac * n_rows)]
@@ -186,10 +197,33 @@ def test_table_crossing_the_switch_point_matches_dense():
         _step_both(opt, ref, batch, i + 1, params, ref_params)
         for k in params:
             stepped = stepped_rows(opt, k)
-            if frac < DENSE_AT:
-                assert stepped is not None and len(stepped) == len(rows), (k, frac)
-            else:
-                assert stepped is None, (k, frac)     # stepped whole from here on
+            assert stepped is not None and stepped.tolist() == sorted(rows), (k, frac)
+
+
+def test_state_of_reached_rows_is_contiguous():
+    # the sums, m and v of a table hold the n rows reached so far in their
+    # first n * width elements, however the rows lie in the table
+    n_rows, width = 60_000, 7
+    rng, params, ref_params, opt, ref = _sparse_pair({
+        "t": ((n_rows, width), "float32"), "b": ((3,), "float64")})
+    reached = set()
+    for count, n_new in [(2, 50), (3, 900), (4, 0), (5, 2500)]:
+        rows = rng.integers(0, n_rows, size=n_new + 10)
+        batch = _row_batch(rng, params, "t", np.concatenate([rows, rows[:10]]))
+        reached.update(rows.tolist())
+        opt.accumulate(batch)
+        ref.accumulate(batch)
+        n = len(reached) * width
+        sums = opt.grads["t"].reshape(-1)
+        assert np.count_nonzero(sums[:n]) == len(set(rows.tolist())) * width
+        assert not sums[n:].any()
+        opt.step(count)
+        ref.step(count)
+        assert_same_bits(params, ref_params)
+        for state in (opt.m, opt.v):
+            flat = state["t"].reshape(-1)
+            assert flat[:n].all() and not flat[n:].any()
+    assert max(reached) > 50_000      # rows spread over the whole table
 
 
 def test_small_and_unmarked_tables_stay_whole():
@@ -199,6 +233,27 @@ def test_small_and_unmarked_tables_stay_whole():
     _step_both(opt, ref, batch, 2, params, ref_params)
     assert stepped_rows(opt, "small") is None      # marked, but one chunk at most
     assert stepped_rows(opt, "big") is None        # dense gradients only: never marked
+
+
+def test_rows_arriving_after_the_first_step_keep_row_order():
+    # a table stepped whole once has nonzero moments in row order everywhere
+    rng, params, ref_params, opt, ref = _sparse_pair({"t": ((CHUNK, 3), "float32")})
+    g = rng.normal(size=(CHUNK, 3))
+    opt.grads["t"][...] = g
+    ref.grads["t"][...] = g
+    opt.step(2)
+    ref.step(2)
+    _step_both(opt, ref, _row_batch(rng, params, "t", [5, 9, 5]), 3, params, ref_params)
+    assert stepped_rows(opt, "t") is None
+
+
+def test_dense_gradient_for_a_row_sparse_table_raises():
+    rng, params, _, opt, _ = _sparse_pair({"t": ((CHUNK, 3), "float32")})
+    opt.accumulate(_row_batch(rng, params, "t", [1, 2]))
+    sums = opt.grads["t"].copy()
+    with pytest.raises(ValueError, match="row-sparse"):
+        opt.accumulate(BatchGrads(np.zeros(1), {}, {"t": np.ones((CHUNK, 3))}))
+    assert np.array_equal(opt.grads["t"], sums)
 
 
 @pytest.fixture(scope="module")
@@ -283,4 +338,4 @@ def test_row_sparse_training_matches_dense_bit_for_bit(zipf, kind, table, w2g_kw
     # the run did what the fixture is for: the table was stepped row-sparse,
     # and rows reached it after the first step
     sizes = [len(rows) for rows in stepped if rows is not None]
-    assert len(sizes) > 2 and sizes[0] < sizes[-1] < DENSE_AT * len(vocab)
+    assert len(sizes) > 2 and sizes[0] < sizes[-1] < len(vocab)

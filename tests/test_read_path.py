@@ -49,7 +49,7 @@ def best_f1_oracle(scores, labels):
         raise EvalError("no positive labels")
     distinct = sorted(set(float(s) for s in scores))
     candidates = [-np.inf]
-    candidates += [0.5 * (a + b) for a, b in zip(distinct, distinct[1:])]
+    candidates += [0.5 * a + 0.5 * b for a, b in zip(distinct, distinct[1:])]
     candidates.append(np.inf)
     best_t, best_f1 = None, -1.0
     for t in sorted(candidates):
