@@ -12,10 +12,10 @@ from functools import partial
 
 import numpy as np
 
-from .bsg import (BatchGrads, TrainConfig, _fold, _gather, _kl_parts, init_rng,
-                  run_training_loop)
+from .bsg import BatchGrads, TrainConfig, gather_rows, init_rng, run_training_loop
 from .corpus import Vocabulary
 from .encoder import uniform_table
+from .gauss import fold, kl_parts
 from .optim import CHUNK
 
 __all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "w2g_batch_gradients",
@@ -62,9 +62,9 @@ def _sigmoid(x):
 def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
                        want_grads: bool = True) -> BatchGrads:
     """Negative-sampling skip-gram losses of a padded batch, plus gradients."""
-    v = _gather(model.in_vec, centers)                 # B x d
-    u_p = _gather(model.out_vec, pos)                  # B x P x d
-    u_n = _gather(model.out_vec, neg)                  # B x k x P x d
+    v = gather_rows(model.in_vec, centers)             # B x d
+    u_p = gather_rows(model.out_vec, pos)              # B x P x d
+    u_n = gather_rows(model.out_vec, neg)              # B x k x P x d
     s_p = np.einsum("bd,bpd->bp", v, u_p)
     s_n = np.einsum("bd,bkpd->bkp", v, u_n)
     neg_mask = np.broadcast_to(mask[:, None, :], s_n.shape)
@@ -83,7 +83,7 @@ def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
     """W2G energy over the last axis (higher = more similar) plus partials
     w.r.t. (mu_a, lv_a, mu_b, lv_b), broadcasting with spherical (..., 1)
-    log-variances as bsg._kl_parts does."""
+    log-variances as gauss.kl_parts does."""
     if kind == "expected_likelihood":
         va = np.exp(lv_a)
         vb = np.exp(lv_b)
@@ -92,11 +92,11 @@ def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
         val = -0.5 * np.sum(np.log(2.0 * np.pi * s) + dmu * dmu / s, axis=-1)
         g_mu_a = -dmu / s
         g_s = -0.5 * (1.0 / s - dmu * dmu / (s * s))
-        return val, (g_mu_a, _fold(g_s * va, lv_a, dmu.shape[-1]), -g_mu_a,
-                     _fold(g_s * vb, lv_b, dmu.shape[-1]))
+        return val, (g_mu_a, fold(g_s * va, lv_a, dmu.shape[-1]), -g_mu_a,
+                     fold(g_s * vb, lv_b, dmu.shape[-1]))
     if kind == "negated_kl":
         # -KL(b || a): the context density read from the word density
-        val, g_mu1, g_lv1, g_lv2 = _kl_parts(mu_b, lv_b, mu_a, lv_a)
+        val, g_mu1, g_lv1, g_lv2 = kl_parts(mu_b, lv_b, mu_a, lv_a)
         return -val, (g_mu1, -g_lv2, -g_mu1, -g_lv1)
     raise ValueError(f"unknown energy kind {kind!r}")
 
@@ -105,14 +105,14 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
                         want_grads: bool = True) -> BatchGrads:
     """Losses max(0, margin - E(center, pos) + E(center, neg)) summed over the
     pairs of each window of a padded batch, plus gradients."""
-    mu_w = _gather(model.mean, centers)[:, None]          # B x 1 x d
-    lv_w = _gather(model.log_var, centers)[:, None]
+    mu_w = gather_rows(model.mean, centers)[:, None]      # B x 1 x d
+    lv_w = gather_rows(model.log_var, centers)[:, None]
     e_p, (ga_p, gla_p, gb_p, glb_p) = _energy_parts(
-        mu_w, lv_w, _gather(model.mean, pos), _gather(model.log_var, pos),
+        mu_w, lv_w, gather_rows(model.mean, pos), gather_rows(model.log_var, pos),
         model.energy_kind)
     e_n, (ga_n, gla_n, gb_n, glb_n) = _energy_parts(
-        mu_w[:, None], lv_w[:, None], _gather(model.mean, neg),
-        _gather(model.log_var, neg), model.energy_kind)
+        mu_w[:, None], lv_w[:, None], gather_rows(model.mean, neg),
+        gather_rows(model.log_var, neg), model.energy_kind)
     arg = margin - e_p[:, None, :] + e_n                  # B x k x P
     neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
     active = (arg > 0.0) & neg_mask

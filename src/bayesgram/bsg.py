@@ -22,12 +22,12 @@ from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it her
 from .encoder import (EncoderParams, backward_batch, encode_batch, infer_posterior,
                       init_encoder, uniform_table)
 from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
-from .gauss import _LOG_2PI, Gaussian, kl_divergence
+from .gauss import Gaussian, kl_divergence, kl_parts, log_density_rows
 from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
-           "init_bsg_model", "reparameterize", "batch_gradients", "elbo_estimate",
-           "train"]
+           "init_bsg_model", "reparameterize", "gather_rows", "batch_gradients",
+           "elbo_estimate", "train"]
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -83,9 +83,6 @@ class BsgModel:
     def prior_gaussian(self, w: int) -> Gaussian:
         return Gaussian(self.prior_mean[w], self.prior_log_var[w])
 
-    def ctx_gaussian(self, w: int) -> Gaussian:
-        return Gaussian(self.ctx_mean[w], self.ctx_log_var[w])
-
     def posterior(self, center: int, contexts) -> Gaussian:
         return infer_posterior(center, contexts, self.enc)
 
@@ -123,28 +120,7 @@ def reparameterize(g: Gaussian, eps: np.ndarray) -> np.ndarray:
     return g.mean + g.std_vector() * eps
 
 
-def _kl_parts(mu1, lv1, mu2, lv2):
-    """KL(N(mu1, e^lv1) || N(mu2, e^lv2)) over the last axis, plus partials.
-
-    Arguments broadcast; a log-variance with a last axis of 1 is spherical.
-    Returns (kl, d/d mu1, d/d lv1, d/d lv2); d/d mu2 is -d/d mu1.
-    """
-    dmu = mu1 - mu2
-    inv2 = np.exp(-lv2)
-    ratio = np.exp(lv1 - lv2)
-    val = 0.5 * np.sum(ratio + dmu * dmu * inv2 - 1.0 + lv2 - lv1, axis=-1)
-    return (val, dmu * inv2, _fold(0.5 * (ratio - 1.0), lv1, dmu.shape[-1]),
-            _fold(0.5 * (1.0 - ratio - dmu * dmu * inv2), lv2, dmu.shape[-1]))
-
-
-def _fold(g, lv, d):
-    """A log-variance partial, summed over the d coordinates if lv is spherical."""
-    if lv.shape[-1] > 1:
-        return g
-    return g.sum(axis=-1, keepdims=True) if g.shape[-1] > 1 else g * d
-
-
-def _gather(table, ids):
+def gather_rows(table, ids):
     """Rows of a V-row table in float64; log-variances come back (..., 1 or d)."""
     return np.asarray(table.reshape(len(table), -1)[ids], dtype=np.float64)
 
@@ -189,12 +165,12 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
     """
     acts, mu_q, lv_q = encode_batch(centers, pos, mask, model.enc)
     ctx, ctx_lv = model.ctx_mean, model.ctx_log_var
-    kl_p, gq_p, glq_p, glt_p = _kl_parts(mu_q[:, None], lv_q[:, None],
-                                         _gather(ctx, pos), _gather(ctx_lv, pos))
-    kl_n, gq_n, glq_n, glt_n = _kl_parts(mu_q[:, None, None], lv_q[:, None, None],
-                                         _gather(ctx, neg), _gather(ctx_lv, neg))
-    kl_0, gq_0, glq_0, glt_0 = _kl_parts(mu_q, lv_q, _gather(model.prior_mean, centers),
-                                         _gather(model.prior_log_var, centers))
+    kl_p, gq_p, glq_p, glt_p = kl_parts(mu_q[:, None], lv_q[:, None],
+                                        gather_rows(ctx, pos), gather_rows(ctx_lv, pos))
+    kl_n, gq_n, glq_n, glt_n = kl_parts(mu_q[:, None, None], lv_q[:, None, None],
+                                        gather_rows(ctx, neg), gather_rows(ctx_lv, neg))
+    kl_0, gq_0, glq_0, glt_0 = kl_parts(mu_q, lv_q, gather_rows(model.prior_mean, centers),
+                                        gather_rows(model.prior_log_var, centers))
     arg = kl_p[:, None, :] - kl_n                      # B x k x P
     arg += cfg.margin
     neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
@@ -240,15 +216,8 @@ def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
     q = model.posterior(center, contexts)
     eps = rng.standard_normal(size=(n_samples, model.dim))
     z = reparameterize(q, eps)                            # n x d
-    ctx_mu = model.ctx_mean.astype(np.float64)
-    if model.cov_kind == "spherical":
-        ctx_lv = np.repeat(model.ctx_log_var.astype(np.float64)[:, None],
-                           model.dim, axis=1)
-    else:
-        ctx_lv = model.ctx_log_var.astype(np.float64)
-    dz = z[:, None, :] - ctx_mu[None, :, :]
-    scores = -0.5 * np.sum(_LOG_2PI + ctx_lv[None] + dz * dz / np.exp(ctx_lv)[None],
-                           axis=2)
+    scores = log_density_rows(gather_rows(model.ctx_mean, slice(None)),
+                              gather_rows(model.ctx_log_var, slice(None)), z[:, None, :])
     scores = scores + np.log(model.vocab.unigram_prob)[None, :]
     m = scores.max(axis=1, keepdims=True)
     log_norm = (m + np.log(np.exp(scores - m).sum(axis=1, keepdims=True)))[:, 0]

@@ -232,13 +232,12 @@ def _cmd_eval_lexsub(args):
     model = _eval_model(args.model)
     insts = evaluate.load_lexsub_instances(args.dataset)
     gaps, skipped = [], 0
-    means = dict(zip(model.vocab.words, model.means)) if args.ranker != "posterior" else None
     for inst in insts:
         try:
             if args.ranker == "posterior":
                 ranked = evaluate.lexsub_rank(model, inst, args.window)
             else:
-                ranked = evaluate.add_mult_baseline(means, inst, args.window,
+                ranked = evaluate.add_mult_baseline(model, inst, args.window,
                                                     mode=args.ranker)
         except EvalError:
             skipped += 1
@@ -297,31 +296,21 @@ def _cmd_synth_corpus(args):
 def _cmd_selftest(_args):
     from .gauss import Gaussian, kl_divergence
     rng = np.random.default_rng(0)
-    ok = True
-
-    worst = 0.0
+    worst_kl = 0.0
     for _ in range(200):
         d = int(rng.integers(1, 3))
         p = Gaussian(rng.normal(size=d), rng.normal(scale=0.5, size=d))
         q = Gaussian(rng.normal(size=d), rng.normal(scale=0.5, size=d))
-        worst = max(worst, abs(kl_divergence(p, q)
-                               - oracles.kl_quadrature_oracle(p, q, 64)))
-    line = f"kl closed form vs quadrature: max |diff| = {worst:.3g}"
-    if worst <= 1e-6:
-        print("PASS " + line)
-    else:
-        print("FAIL " + line)
-        ok = False
-
-    worst = _selftest_gradcheck(rng)
-    line = f"window-loss gradient vs finite differences: max rel err = {worst:.3g}"
-    if worst <= 1e-4:
-        print("PASS " + line)
-    else:
-        print("FAIL " + line)
-        ok = False
-
-    if not ok:
+        worst_kl = max(worst_kl, abs(kl_divergence(p, q)
+                                     - oracles.kl_quadrature_oracle(p, q, 64)))
+    worst_grad = _selftest_gradcheck(rng)
+    checks = [
+        (f"kl closed form vs quadrature: max |diff| = {worst_kl:.3g}", worst_kl <= 1e-6),
+        (f"window-loss gradient vs finite differences: max rel err = {worst_grad:.3g}",
+         worst_grad <= 1e-4)]
+    for line, passed in checks:
+        print(("PASS " if passed else "FAIL ") + line)
+    if not all(passed for _, passed in checks):
         raise bsg.NumericalError("selftest failed")
     print("selftest OK")
 

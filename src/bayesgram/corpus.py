@@ -12,6 +12,8 @@ import numpy as np
 
 __all__ = [
     "Vocabulary",
+    "format_vocab",
+    "parse_vocab",
     "tokenize_line",
     "iter_documents",
     "build_vocabulary",
@@ -44,7 +46,10 @@ class Vocabulary:
             raise CorpusError("empty corpus")
         if np.any(self.counts <= 0):
             raise ValueError("counts must be positive")
-        self._index = {w: i for i, w in enumerate(self.words)}
+        self._index = dict(zip(self.words, range(len(self.words))))
+        if len(self._index) != len(self.words):    # a repeat's later id overwrote it
+            repeated = next(w for i, w in enumerate(self.words) if self._index[w] != i)
+            raise ValueError(f"repeated vocabulary word {repeated!r}")
         total = float(self.counts.sum())
         self.unigram_prob = self.counts / total
         self.keep_prob = np.minimum(1.0, np.sqrt(self.subsample_t / self.unigram_prob))
@@ -76,32 +81,57 @@ class Vocabulary:
 
     def save(self, path):
         """Write the vocabulary as `word<TAB>count` lines, most frequent first."""
-        with open(path, "w", encoding="utf-8") as f:
-            for w, c in zip(self.words, self.counts):
-                f.write(f"{w}\t{int(c)}\n")
+        text = format_vocab(self.words, self.counts)
+        with open(path, "w", encoding="utf-8", newline="\n") as f:
+            f.write(text)
 
     @classmethod
     def load(cls, path, subsample_t=1e-4, neg_table_exponent=1.0):
-        words, counts = [], []
         with open(path, "rb") as f:
-            offset = 0
-            for lineno, raw in enumerate(f, 1):
-                try:
-                    line = raw.decode("utf-8").rstrip("\r\n")
-                except UnicodeDecodeError as e:
-                    raise CorpusError(f"non-UTF-8 vocabulary line {lineno} "
-                                      f"at byte offset {offset + e.start}")
-                offset += len(raw)
-                if not line:
-                    continue
-                try:
-                    w, c = line.split("\t")
-                    counts.append(int(c))
-                except ValueError:
-                    raise CorpusError(f"malformed vocabulary line {lineno}: {line!r}")
-                words.append(w)
-        return cls(words, np.asarray(counts, dtype=np.int64),
-                   subsample_t=subsample_t, neg_table_exponent=neg_table_exponent)
+            data = f.read()
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as e:
+            lineno = data.count(b"\n", 0, e.start) + 1
+            raise CorpusError(f"non-UTF-8 vocabulary line {lineno} "
+                              f"at byte offset {e.start}") from None
+        words, counts = parse_vocab(text.split("\n"))
+        return cls(words, counts, subsample_t=subsample_t,
+                   neg_table_exponent=neg_table_exponent)
+
+
+def format_vocab(words, counts) -> str:
+    """The `word<TAB>count` lines of a vocabulary file or of a model file's
+    vocab section. A word holding a tab or a line feed would not read back,
+    so it is refused."""
+    text = "".join(f"{w}\t{int(c)}\n" for w, c in zip(words, counts))
+    if text.count("\t") != len(words) or text.count("\n") != len(words):
+        bad = next(w for w in words if "\t" in w or "\n" in w)
+        raise CorpusError(f"vocabulary word {bad!r} holds a tab or a line feed")
+    return text
+
+
+def parse_vocab(lines, first: int = 1, error=CorpusError):
+    """(words, counts) of `word<TAB>count` lines given without their line feed,
+    lines[0] being line `first`. Blank lines are skipped, and so is the `\r`
+    ending a CRLF line, as int() reads past it. A malformed line or a repeated
+    word raises error(message), the message naming its line."""
+    words, counts = [], []
+    for lineno, line in enumerate(lines, first):
+        if line in ("", "\r"):
+            continue
+        try:
+            word, count = line.split("\t")
+            counts.append(int(count))
+        except ValueError:
+            raise error(f"malformed vocab line {lineno}: {line!r}") from None
+        words.append(word)
+    if len(set(words)) < len(words):              # name the first repeat's line
+        line_of = [n for n, line in enumerate(lines, first) if line not in ("", "\r")]
+        index = {}
+        j = next(j for j, w in enumerate(words) if index.setdefault(w, j) != j)
+        raise error(f"repeated word {words[j]!r} on vocab line {line_of[j]}")
+    return words, np.asarray(counts, dtype=np.int64)
 
 
 def tokenize_line(line: str, lowercase: bool = True):

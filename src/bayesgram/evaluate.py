@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import context_tokens
-from .gauss import cosine, cosine_rows, kl_rows
+from .gauss import cosine_rows, kl_rows
 from .serialize import SerializationError, embedding_view
 
 __all__ = ["SimilarityPair", "EntailmentPair", "LexsubInstance",
@@ -198,6 +198,19 @@ def frequency_direction_baseline(vocab, pairs):
     return int(np.sum(vocab.counts[i] <= vocab.counts[j])) / len(used), len(used), skipped
 
 
+def _ranked(vocab, candidates, score, descending=False):
+    """(candidate, score) of the in-vocabulary candidates sorted by score(ids),
+    ties in input order, then the others, in input order, with score None."""
+    ids = [vocab.lookup(c) for c in candidates]
+    known = [c for c, cid in zip(candidates, ids) if cid is not None]
+    if not known:
+        raise EvalError("all candidates out of vocabulary")
+    s = score([cid for cid in ids if cid is not None])
+    order = np.argsort(-s if descending else s, kind="stable")
+    return ([(known[r], float(s[r])) for r in order]
+            + [(c, None) for c, cid in zip(candidates, ids) if cid is None])
+
+
 def lexsub_rank(model, inst: LexsubInstance, window: int):
     """Rank substitution candidates by KL from the inferred posterior.
 
@@ -216,14 +229,8 @@ def lexsub_rank(model, inst: LexsubInstance, window: int):
     if not ctx_ids:
         raise EvalError("no usable context")
     q = view.posterior(target_id, ctx_ids)
-    ids = [vocab.lookup(c) for c in inst.candidates]
-    known = [c for c, cid in zip(inst.candidates, ids) if cid is not None]
-    if not known:
-        raise EvalError("all candidates out of vocabulary")
-    kl = kl_rows(q.mean, q.log_var_vector(),
-                 *view.density_rows([cid for cid in ids if cid is not None]))
-    return ([(known[r], float(kl[r])) for r in np.argsort(kl, kind="stable")]
-            + [(c, None) for c, cid in zip(inst.candidates, ids) if cid is None])
+    return _ranked(vocab, inst.candidates,
+                   lambda ids: kl_rows(q.mean, q.log_var_vector(), *view.density_rows(ids)))
 
 
 def gap(ranked_gold_weights, all_gold_weights) -> float:
@@ -251,42 +258,32 @@ def gap(ranked_gold_weights, all_gold_weights) -> float:
     return num / denom
 
 
-def add_mult_baseline(vectors, inst: LexsubInstance, window: int,
-                      mode: str = "add"):
-    """Cosine-composition ranking baselines over point embeddings.
+def add_mult_baseline(model, inst: LexsubInstance, window: int, mode: str = "add"):
+    """Cosine-composition ranking baselines over the model's means.
 
-    vectors maps word -> mean vector. Add averages cosine to the target and
-    each context word; Mult takes the geometric mean of shifted cosines
-    pcos = (cos + 1) / 2. Returns candidates sorted descending by score,
-    OOV candidates last with score None.
+    Add averages the cosine of a candidate to the target and to each
+    in-window, in-vocabulary context word; Mult takes the geometric mean of
+    the shifted cosines pcos = (cos + 1) / 2. Returns candidates sorted
+    descending by score (ties in input order), OOV candidates last with
+    score None.
     """
     if mode not in ("add", "mult"):
         raise ValueError(f"unknown mode {mode!r}")
-    if inst.target not in vectors:
+    view = embedding_view(model)
+    vocab = view.vocab
+    target_id = vocab.lookup(inst.target)
+    if target_id is None:
         raise EvalError(f"target {inst.target!r} out of vocabulary")
-    t = vectors[inst.target]
-    ctx_vecs = [vectors[c] for c in context_tokens(inst.context_tokens,
-                                                   inst.target_index, window)
-                if c in vectors]
-    scored, oov = [], []
-    for pos, cand in enumerate(inst.candidates):
-        if cand not in vectors:
-            oov.append((cand, None))
-            continue
-        s = vectors[cand]
-        n = len(ctx_vecs) + 1
+    ctx_ids = vocab.ids(context_tokens(inst.context_tokens, inst.target_index, window))
+    rows = view.mean_rows([target_id] + ctx_ids)
+
+    def score(ids):
+        cos = cosine_rows(view.mean_rows(ids)[:, None], rows)    # candidates x rows
         if mode == "add":
-            score = (cosine(s, t) + sum(cosine(s, c) for c in ctx_vecs)) / n
-        else:
-            pc = (cosine(s, t) + 1.0) / 2.0
-            for c in ctx_vecs:
-                pc *= (cosine(s, c) + 1.0) / 2.0
-            score = pc ** (1.0 / n)
-        scored.append((pos, cand, score))
-    if not scored:
-        raise EvalError("all candidates out of vocabulary")
-    scored.sort(key=lambda x: (-x[2], x[0]))
-    return [(cand, score) for _, cand, score in scored] + oov
+            return cos.mean(axis=1)
+        return np.prod((cos + 1.0) / 2.0, axis=1) ** (1.0 / cos.shape[1])
+
+    return _ranked(vocab, inst.candidates, score, descending=True)
 
 
 def logdet_frequency_report(model, vocab, out=None):

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Gaussian", "kl_divergence", "kl_rows", "log_density", "cosine",
-           "cosine_rows", "log_det_cov"]
+__all__ = ["Gaussian", "kl_divergence", "kl_rows", "kl_parts", "fold", "log_density",
+           "log_density_rows", "cosine", "cosine_rows", "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -54,24 +54,44 @@ class Gaussian:
         return np.exp(0.5 * self.log_var_vector())
 
 
-def _check_dims(p: Gaussian, q: Gaussian):
-    if p.dim != q.dim:
-        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
-
-
 def kl_divergence(p: Gaussian, q: Gaussian) -> float:
     """D_KL[p || q] for diagonal Gaussians, in closed form (see kl_rows)."""
-    _check_dims(p, q)
+    if p.dim != q.dim:
+        raise ValueError(f"dimension mismatch: {p.dim} vs {q.dim}")
     return float(kl_rows(p.mean, p.log_var_vector(), q.mean, q.log_var_vector()))
+
+
+def _kl_terms(mu1, lv1, mu2, lv2):
+    """The KL value of kl_rows and the terms kl_parts reuses for its partials."""
+    dmu = mu1 - mu2
+    inv2 = np.exp(-lv2)
+    ratio = np.exp(lv1 - lv2)
+    val = 0.5 * np.sum(ratio + dmu * dmu * inv2 - 1.0 + lv2 - lv1, axis=-1)
+    return val, dmu, inv2, ratio
 
 
 def kl_rows(mu1, lv1, mu2, lv2):
     """KL[N(mu1, e^lv1) || N(mu2, e^lv2)] along the last axis, broadcasting:
-    0.5 * sum_d [ s1/s2 + (mu2-mu1)^2/s2 - 1 + log(s2/s1) ], s the variances.
-    A log-variance with a last axis of 1 is spherical."""
-    dmu = mu2 - mu1
-    terms = np.exp(lv1 - lv2) + dmu * dmu * np.exp(-lv2) - 1.0 + (lv2 - lv1)
-    return 0.5 * np.sum(terms, axis=-1)
+    0.5 * sum_d [ s1/s2 + (mu1-mu2)^2/s2 - 1 + log(s2/s1) ], s the variances.
+    A log-variance with a last axis of 1 is spherical. The value is the one
+    kl_parts returns, bit for bit, so training and reading share one KL."""
+    return _kl_terms(mu1, lv1, mu2, lv2)[0]
+
+
+def kl_parts(mu1, lv1, mu2, lv2):
+    """kl_rows plus its partials (kl, d/d mu1, d/d lv1, d/d lv2); d/d mu2 is
+    -d/d mu1, and a spherical log-variance's partial is folded (see fold)."""
+    val, dmu, inv2, ratio = _kl_terms(mu1, lv1, mu2, lv2)
+    d = dmu.shape[-1]
+    return (val, dmu * inv2, fold(0.5 * (ratio - 1.0), lv1, d),
+            fold(0.5 * (1.0 - ratio - dmu * dmu * inv2), lv2, d))
+
+
+def fold(g, lv, d):
+    """A log-variance partial, summed over the d coordinates if lv is spherical."""
+    if lv.shape[-1] > 1:
+        return g
+    return g.sum(axis=-1, keepdims=True) if g.shape[-1] > 1 else g * d
 
 
 def log_density(g: Gaussian, z: np.ndarray) -> float:
@@ -79,9 +99,14 @@ def log_density(g: Gaussian, z: np.ndarray) -> float:
     z = np.asarray(z, dtype=np.float64)
     if z.shape != g.mean.shape:
         raise ValueError(f"dimension mismatch: point {z.shape} vs mean {g.mean.shape}")
-    lv = g.log_var_vector()
-    dz = z - g.mean
-    return float(-0.5 * np.sum(_LOG_2PI + lv + dz * dz * np.exp(-lv)))
+    return float(log_density_rows(g.mean, g.log_var_vector(), z))
+
+
+def log_density_rows(mu, lv, z):
+    """Log pdf of N(mu, e^lv) at z along the last axis, broadcasting; a
+    log-variance with a last axis of 1 is spherical."""
+    dz = z - mu
+    return -0.5 * np.sum(_LOG_2PI + lv + dz * dz * np.exp(-lv), axis=-1)
 
 
 def cosine(u: np.ndarray, v: np.ndarray) -> float:

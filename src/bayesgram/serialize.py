@@ -19,7 +19,7 @@ import numpy as np
 
 from .baselines import SgModel, W2gModel
 from .bsg import BsgModel
-from .corpus import Vocabulary, context_tokens
+from .corpus import Vocabulary, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
 from .gauss import Gaussian, cosine_rows, kl_rows
 
@@ -113,15 +113,14 @@ def _header_dict(bundle):
 
 # ---------------------------------------------------------------- text format
 
-def _save_text(bundle, f):
+def _save_text(bundle, vocab_text, f):
     f.write("#SECTION header\n")
     for k, v in _header_dict(bundle).items():
         f.write(f"{k}\t{v}\n")
     f.write("#SECTION config\n")
     f.write(json.dumps(bundle.config, sort_keys=True) + "\n")
     f.write("#SECTION vocab\n")
-    for w, c in zip(bundle.vocab.words, bundle.vocab.counts):
-        f.write(f"{w}\t{int(c)}\n")
+    f.write(vocab_text)
     for name in sorted(bundle.arrays):
         arr = bundle.arrays[name]
         dims = " ".join(str(s) for s in arr.shape)
@@ -144,26 +143,28 @@ def _load_text(lines):
         fail("expected '#SECTION header'", lineno)
     header = {}
     config = None
-    words, counts = [], []
+    vocab_at, vocab_lines = 0, []
     arrays = {}
     state = "header"
     pending = None  # (name, dtype, shape, flat list, need)
     saw_end = False
     for lineno, raw in it:
-        line = raw.rstrip("\n")
-        if line.startswith("#SECTION "):     # a vocab word may be "#SECTION"
+        line = raw.removesuffix("\n").removesuffix("\r")
+        # a vocab word may start "#SECTION ", but its line holds a tab
+        if line.startswith("#SECTION ") and "\t" not in line:
             if pending is not None:
-                name, _, _, flat, need = pending
+                name, dtype, shape, flat, need = pending
                 if len(flat) != need:
                     fail(f"truncated array section {name!r}: "
                          f"got {len(flat)} of {need} values", lineno)
-                pending = _finish_array(arrays, pending)
+                arrays[name] = np.array(flat, dtype=np.dtype(dtype)).reshape(shape)
+                pending = None
             parts = line.split()
             section = parts[1] if len(parts) > 1 else ""
             if section == "config":
                 state = "config"
             elif section == "vocab":
-                state = "vocab"
+                state, vocab_at, vocab_lines = "vocab", lineno + 1, []
             elif section == "array":
                 if len(parts) < 5:
                     fail("malformed array section header", lineno)
@@ -193,14 +194,7 @@ def _load_text(lines):
             except json.JSONDecodeError as e:
                 fail(f"corrupt config JSON: {e.msg} at column {e.colno}", lineno)
         elif state == "vocab":
-            if not line:
-                continue
-            try:
-                w, c = line.split("\t")
-                counts.append(int(c))
-                words.append(w)
-            except ValueError:
-                fail(f"malformed vocab line: {line!r}", lineno)
+            vocab_lines.append(line)
         elif state == "array":
             try:
                 pending[3].extend(float(x) for x in line.split())
@@ -213,18 +207,13 @@ def _load_text(lines):
         raise SerializationError(f"truncated file: array section {name!r} unfinished")
     if not saw_end:
         raise SerializationError("truncated file: missing end section")
+    words, counts = parse_vocab(vocab_lines, vocab_at, SerializationError)
     return _assemble(header, config, words, counts, arrays)
-
-
-def _finish_array(arrays, pending):
-    name, dtype, shape, flat, _ = pending
-    arrays[name] = np.array(flat, dtype=np.dtype(dtype)).reshape(shape)
-    return None
 
 
 # -------------------------------------------------------------- binary format
 
-def _save_binary(bundle, f):
+def _save_binary(bundle, vocab_text, f):
     f.write(MAGIC)
     f.write(struct.pack("<I", bundle.format_version))
 
@@ -237,8 +226,6 @@ def _save_binary(bundle, f):
 
     section("header", json.dumps(_header_dict(bundle), sort_keys=True).encode())
     section("config", json.dumps(bundle.config, sort_keys=True).encode())
-    vocab_text = "".join(f"{w}\t{int(c)}\n"
-                         for w, c in zip(bundle.vocab.words, bundle.vocab.counts))
     section("vocab", vocab_text.encode("utf-8"))
     for name in sorted(bundle.arrays):
         arr = np.ascontiguousarray(bundle.arrays[name])
@@ -285,14 +272,9 @@ def _load_binary(f):
         elif name == "config":
             config = _json(payload, start, "config")   # null reads as {}, as in text
         elif name == "vocab":
-            for i, line in enumerate(_utf8(payload, start, "vocab").splitlines(), 1):
-                try:
-                    w, c = line.split("\t")
-                    counts.append(int(c))
-                    words.append(w)
-                except ValueError:
-                    raise SerializationError(
-                        f"byte {start}: malformed vocab line {i}: {line!r}") from None
+            words, counts = parse_vocab(
+                _utf8(payload, start, "vocab").split("\n"),
+                error=lambda msg: SerializationError(f"byte {start}: {msg}"))
         elif name.startswith("array:"):
             if plen < 4:
                 raise SerializationError(f"byte {start}: truncated array meta length")
@@ -362,12 +344,14 @@ def _assemble(header, config, words, counts, arrays):
 
 
 def save_model(bundle: ModelBundle, path, mode: str = "binary"):
+    # formatted first: a word the format cannot hold is refused before the file opens
+    vocab_text = format_vocab(bundle.vocab.words, bundle.vocab.counts)
     if mode == "text":
         with open(path, "w", encoding="utf-8", newline="\n") as f:
-            _save_text(bundle, f)
+            _save_text(bundle, vocab_text, f)
     elif mode == "binary":
         with open(path, "wb") as f:
-            _save_binary(bundle, f)
+            _save_binary(bundle, vocab_text, f)
     else:
         raise ValueError(f"unknown mode {mode!r}")
 
@@ -378,7 +362,7 @@ def load_model(path) -> ModelBundle:
         f.seek(0)
         if head == MAGIC:
             return _load_binary(f)
-        text = io.TextIOWrapper(f, encoding="utf-8")
+        text = io.TextIOWrapper(f, encoding="utf-8", newline="\n")
         try:
             return _load_text(text)
         except UnicodeDecodeError:

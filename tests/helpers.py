@@ -6,6 +6,11 @@ from bayesgram import bsg, oracles
 from bayesgram.corpus import Vocabulary
 
 
+# words a `word<TAB>count` line holds, though str.splitlines or universal
+# newlines would split them
+LINE_BREAKING_WORDS = ["a\x85b", "a\u2028b", "a\x0cb", "a\rb", "a\r", "\r"]
+
+
 def tiny_vocab(n=12, seed=None):
     words = [f"w{i}" for i in range(n)]
     counts = np.arange(1, n + 1, dtype=np.int64)

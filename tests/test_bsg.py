@@ -132,6 +132,26 @@ class TestWindowLoss:
         assert a == b
 
 
+class TestOneKl:
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_inactive_hinge_loss_is_the_read_path_kl(self, cov_kind, dtype):
+        # with each negative equal to its positive and margin 0, every hinge
+        # argument is exactly 0, so a window's loss is its prior KL: the
+        # training kernel and gauss.kl_divergence must agree bit for bit
+        V = 9
+        cfg = TrainConfig(dim=5, hidden_dim=4, margin=0.0, cov_kind=cov_kind,
+                          param_dtype=dtype, epochs=0)
+        rng = np.random.default_rng(17)
+        for _ in range(20):
+            model = perturbed_bsg_model(tiny_vocab(V), cfg, rng, scale=0.5)
+            for _ in range(10):
+                c = int(rng.integers(V))
+                ctx = rng.integers(V, size=int(rng.integers(1, 5))).tolist()
+                want = kl_divergence(model.posterior(c, ctx), model.prior_gaussian(c))
+                assert one_window_loss(model, c, ctx, ctx, cfg) == want
+
+
 class TestWindowLossGradients:
     def test_inactive_hinge_leaves_prior_gradient_only(self):
         # positives/negatives symmetric -> all hinge args equal margin - 0...

@@ -1,4 +1,5 @@
 import hashlib
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,8 @@ from bayesgram.bsg import TrainConfig, data_rng
 from bayesgram.corpus import (CorpusError, Vocabulary, build_vocabulary,
                               iter_documents, iter_training_batches,
                               iter_training_windows, sample_negatives, subsample_stream)
+
+from helpers import LINE_BREAKING_WORDS
 
 
 class TestBuildVocabulary:
@@ -195,6 +198,39 @@ class TestVocabularyIO:
         path.write_text("a\t3\nbroken-line\n")
         with pytest.raises(CorpusError, match="line 2"):
             Vocabulary.load(path)
+
+    @pytest.mark.parametrize("word", LINE_BREAKING_WORDS)
+    def test_line_breaking_word_roundtrip(self, tmp_path, word):
+        v = Vocabulary(["a", word, "b"], np.array([3, 2, 1]))
+        path = tmp_path / "vocab.tsv"
+        v.save(path)
+        v2 = Vocabulary.load(path)
+        assert v2.words == v.words
+        assert list(v2.counts) == [3, 2, 1]
+
+    def test_crlf_file_loads(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"a\t3\r\nb\r\t2\r\n\r\n")
+        v = Vocabulary.load(path)
+        assert v.words == ["a", "b\r"]
+        assert list(v.counts) == [3, 2]
+
+    def test_repeated_word_rejected(self):
+        with pytest.raises(ValueError, match="repeated vocabulary word 'a'"):
+            Vocabulary(["a", "b", "a"], np.array([3, 2, 1]))
+
+    def test_repeated_word_names_its_line(self, tmp_path):
+        path = tmp_path / "vocab.tsv"
+        path.write_text("a\t3\nb\t2\n\na\t1\n")
+        with pytest.raises(CorpusError, match="repeated word 'a' on vocab line 4"):
+            Vocabulary.load(path)
+
+    @pytest.mark.parametrize("word", ["a\tb", "a\nb"])
+    def test_writer_refuses_tab_or_line_feed(self, tmp_path, word):
+        v = build_vocabulary(["x", word, "x"], 10, 1)     # flat tokens keep any character
+        with pytest.raises(CorpusError, match=re.escape(repr(word))):
+            v.save(tmp_path / "vocab.tsv")
+        assert not (tmp_path / "vocab.tsv").exists()
 
 
 def stream_digest(stream):

@@ -14,6 +14,7 @@ from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
                                 load_lexsub_instances, load_similarity_pairs,
                                 logdet_frequency_report, pearson, spearman)
 from bayesgram.gauss import Gaussian, kl_divergence
+from bayesgram.serialize import EmbeddingView
 
 
 class DensityModel:
@@ -254,27 +255,34 @@ class TestLexsub:
             gap([0.0], [0.0])
 
 
+def point_model(vectors):
+    """An embedding view of word -> vector points, each word counted once."""
+    words = list(vectors)
+    return EmbeddingView(Vocabulary(words, np.ones(len(words), int)),
+                         np.array([vectors[w] for w in words], dtype=float))
+
+
 class TestAddMult:
     def test_orthogonal_no_context(self):
-        vecs = {"t": np.array([1.0, 0.0]), "s": np.array([0.0, 1.0])}
+        m = point_model({"t": [1.0, 0.0], "s": [0.0, 1.0]})
         inst = LexsubInstance("t", 0, ("t",), ("s",), {"s": 1.0})
-        add = add_mult_baseline(vecs, inst, window=2, mode="add")
-        mult = add_mult_baseline(vecs, inst, window=2, mode="mult")
+        add = add_mult_baseline(m, inst, window=2, mode="add")
+        mult = add_mult_baseline(m, inst, window=2, mode="mult")
         assert add[0][1] == pytest.approx(0.0, abs=1e-12)
         assert mult[0][1] == pytest.approx(0.5, abs=1e-12)
 
     def test_context_pulls_ranking(self):
-        vecs = {"t": np.array([1.0, 0.0]), "c": np.array([0.0, 1.0]),
-                "s1": np.array([1.0, 1.0]), "s2": np.array([1.0, -1.0])}
+        m = point_model({"t": [1.0, 0.0], "c": [0.0, 1.0],
+                         "s1": [1.0, 1.0], "s2": [1.0, -1.0]})
         inst = LexsubInstance("t", 0, ("t", "c"), ("s2", "s1"), {"s1": 1.0})
         for mode in ("add", "mult"):
-            out = add_mult_baseline(vecs, inst, window=2, mode=mode)
+            out = add_mult_baseline(m, inst, window=2, mode=mode)
             assert out[0][0] == "s1"
 
     def test_unknown_mode(self):
         inst = LexsubInstance("t", 0, ("t",), ("s",), {"s": 1.0})
         with pytest.raises(ValueError, match="unknown mode"):
-            add_mult_baseline({"t": np.ones(2)}, inst, 2, mode="avg")
+            add_mult_baseline(point_model({"t": [1.0, 1.0]}), inst, 2, mode="avg")
 
 
 class TestLogdetReport:

@@ -1,7 +1,10 @@
-"""Every exported name resolves: the package's and each module's __all__."""
+"""Every exported name resolves: the package's and each module's __all__.
+No module imports a private name of a sibling, or a name it does not use."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +22,39 @@ def test_module_all_resolves(name):
     module = importlib.import_module(f"bayesgram.{name}")
     exported = getattr(module, "__all__", [])
     assert [n for n in exported if not hasattr(module, n)] == []
+
+
+SOURCES = {name: Path(bayesgram.__file__).with_name(f"{name}.py") for name in MODULES}
+SOURCES["__init__"] = Path(bayesgram.__file__)
+
+
+def imported_names(tree):
+    """(bound name, whether it comes from a sibling module, imported name, line)
+    of every import."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for a in node.names:
+                yield a.asname or a.name.split(".")[0], None, a.name, a.lineno
+        elif isinstance(node, ast.ImportFrom):
+            sibling = node.level > 0 or (node.module or "").startswith("bayesgram")
+            for a in node.names:
+                yield a.asname or a.name, sibling, a.name, a.lineno
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_private_name_from_a_sibling(name):
+    tree = ast.parse(SOURCES[name].read_text(encoding="utf-8"))
+    assert [imported for _, sibling, imported, _ in imported_names(tree)
+            if sibling and imported.startswith("_")] == []
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_unused_import(name):
+    text = SOURCES[name].read_text(encoding="utf-8")
+    tree = ast.parse(text)
+    lines = text.splitlines()
+    used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    used.update(getattr(importlib.import_module(f"bayesgram.{name}"), "__all__", [])
+                if name != "__init__" else bayesgram.__all__)
+    assert [bound for bound, _, _, lineno in imported_names(tree)
+            if bound not in used and "# noqa" not in lines[lineno - 1]] == []

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesgram.gauss import Gaussian, cosine, kl_divergence, log_density, log_det_cov
+from bayesgram.gauss import (Gaussian, cosine, kl_divergence, kl_parts, kl_rows,
+                             log_density, log_density_rows, log_det_cov)
 from bayesgram.oracles import kl_quadrature_oracle
 
 
@@ -139,6 +140,28 @@ def test_spherical_matches_diagonal(d, seed):
     assert abs(kl_divergence(other, sph) - kl_divergence(other, diag)) <= 1e-12
     assert abs(log_density(sph, z) - log_density(diag, z)) <= 1e-12
     assert abs(log_det_cov(sph) - log_det_cov(diag)) <= 1e-12
+
+
+@pytest.mark.parametrize("lv_width", [1, 6])
+def test_one_kl_value_with_and_without_partials(lv_width):
+    # the read path's kl_rows is the training kernel's kl_parts value, bit for
+    # bit, at the kernel's broadcast shapes: (B, 1, d) posteriors vs (B, P, d) rows
+    rng = np.random.default_rng(lv_width)
+    mu1, lv1 = rng.normal(size=(40, 1, 6)), rng.normal(size=(40, 1, lv_width))
+    mu2, lv2 = rng.normal(size=(40, 3, 6)), rng.normal(size=(40, 3, lv_width))
+    assert np.array_equal(kl_rows(mu1, lv1, mu2, lv2), kl_parts(mu1, lv1, mu2, lv2)[0])
+    assert np.array_equal(kl_rows(mu2, lv2, mu1, lv1), kl_parts(mu2, lv2, mu1, lv1)[0])
+
+
+def test_log_density_rows_spherical_column():
+    # a (..., 1) log-variance is spherical, as in the ELBO's decoder scores
+    rng = np.random.default_rng(3)
+    mu, lv, z = rng.normal(size=(7, 4)), rng.normal(size=(7, 1)), rng.normal(size=(5, 1, 4))
+    got = log_density_rows(mu, lv, z)
+    assert got.shape == (5, 7)
+    want = [[log_density(Gaussian(mu[v], lv[v, 0]), z[n, 0]) for v in range(7)]
+            for n in range(5)]
+    assert np.array_equal(got, want)
 
 
 def test_invalid_parameters_rejected():

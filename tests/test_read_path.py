@@ -11,8 +11,10 @@ from hypothesis import given, settings, strategies as st
 from bayesgram import serialize
 from bayesgram.baselines import init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
+from bayesgram.corpus import context_tokens
 from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
-                                SimilarityPair, _ranks, best_f1_threshold,
+                                SimilarityPair, _ranks, add_mult_baseline,
+                                best_f1_threshold,
                                 eval_directionality, eval_entailment,
                                 eval_similarity, lexsub_rank,
                                 logdet_frequency_report)
@@ -88,6 +90,25 @@ def nearest_oracle(model, qid, k, measure):
         scored.append((i, s))
     scored.sort(key=lambda t: (-t[1], t[0]))
     return scored[:k]
+
+
+def add_mult_oracle(model, inst, window, mode):
+    """The add/mult ranker over a word -> vector dict, one cosine at a time."""
+    vectors = dict(zip(model.vocab.words, embedding_view(model).means))
+    t = vectors[inst.target]
+    ctx = [vectors[c] for c in context_tokens(inst.context_tokens, inst.target_index,
+                                              window) if c in vectors]
+    scored = []
+    for pos, cand in enumerate(inst.candidates):
+        if cand not in vectors:
+            continue
+        cos = [cosine(vectors[cand], u) for u in [t] + ctx]
+        if mode == "add":
+            score = sum(cos) / len(cos)
+        else:
+            score = float(np.prod([(c + 1.0) / 2.0 for c in cos])) ** (1.0 / len(cos))
+        scored.append((-score, pos, cand))
+    return [(cand, -s) for s, _, cand in sorted(scored)]
 
 
 # ------------------------------------------------------------------- models
@@ -273,6 +294,23 @@ class TestEvalsMatchPerWordLoops:
         want = sorted(((kl_divergence(q, prior(model, int(c[1:]))), pos, c)
                        for pos, c in enumerate(inst.candidates) if c != "zz"))
         assert got == [(c, s) for s, _, c in want] + [("zz", None)]
+
+    @pytest.mark.parametrize("kind,cov_kind", DENSITY_KINDS + [("sg", None)])
+    @pytest.mark.parametrize("mode", ["add", "mult"])
+    def test_add_mult(self, kind, cov_kind, mode):
+        if kind == "sg":
+            model = init_sg_model(tiny_vocab(10), TrainConfig(dim=5),
+                                  np.random.default_rng(7))
+        else:
+            model = density_model(kind, cov_kind, V=10)
+        inst = LexsubInstance("w3", 2, ("w1", "w9", "w3", "w4", "qq"),
+                              ("w7", "zz", "w0", "w5", "w2"), {"w5": 1.0})
+        got = add_mult_baseline(bundle_from_model(model), inst, window=2, mode=mode)
+        want = add_mult_oracle(model, inst, 2, mode)
+        assert [c for c, _ in got] == [c for c, _ in want] + ["zz"]
+        assert got[-1] == ("zz", None)
+        for (_, s), (_, t) in zip(got, want):
+            assert s == pytest.approx(t, rel=1e-12, abs=0.0)
 
     def test_lexsub_needs_an_encoder(self):
         model = density_model("w2g", "diagonal")

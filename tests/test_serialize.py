@@ -8,13 +8,13 @@ import pytest
 from bayesgram.baselines import init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
 from bayesgram.cli import main
-from bayesgram.corpus import Vocabulary
+from bayesgram.corpus import CorpusError, Vocabulary
 from bayesgram.gauss import kl_divergence
 from bayesgram.serialize import (ModelBundle, SerializationError,
                                  bundle_from_model, infer, load_model,
                                  model_from_bundle, nearest, save_model)
 
-from helpers import tiny_vocab
+from helpers import LINE_BREAKING_WORDS, tiny_vocab
 
 
 def make_model(kind, V=8, d=3, seed=0, cov_kind="spherical"):
@@ -236,6 +236,51 @@ class TestCorruptionNamesByteOrLine:
         assert "byte " in err or "line " in err
 
 
+class TestVocabLines:
+    @pytest.mark.parametrize("word", LINE_BREAKING_WORDS)
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_line_breaking_word_roundtrip(self, tmp_path, mode, word):
+        vocab = Vocabulary(["a", word, "b"], np.array([3, 2, 1]))
+        model = init_sg_model(vocab, TrainConfig(dim=2), np.random.default_rng(0))
+        bundle = bundle_from_model(model)
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle, path, mode)
+        loaded = load_model(path)
+        assert loaded.vocab.words == ["a", word, "b"]
+        assert list(loaded.vocab.counts) == [3, 2, 1]
+        for name, arr in bundle.arrays.items():
+            assert np.array_equal(loaded.arrays[name], arr)
+
+    def test_crlf_text_model_loads(self, tmp_path):
+        bundle = bundle_from_model(make_model("w2g"), config={"seed": 0})
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        path.write_bytes(path.read_bytes().replace(b"\n", b"\r\n"))
+        loaded = load_model(path)
+        assert loaded.vocab.words == bundle.vocab.words
+        for name, arr in bundle.arrays.items():
+            assert np.array_equal(loaded.arrays[name], arr)
+
+    @pytest.mark.parametrize("mode,where", [("text", r"vocab line 11"),
+                                            ("binary", r"byte \d+: repeated word 'w1' "
+                                                       r"on vocab line 3")])
+    def test_repeated_word_names_its_line(self, tmp_path, mode, where):
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle_from_model(make_model("sg"), config={"seed": 0}), path, mode)
+        data = path.read_bytes()
+        path.write_bytes(data.replace(b"w2\t3\n", b"w1\t3\n", 1))
+        with pytest.raises(SerializationError, match=where):
+            load_model(path)
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_writer_refuses_a_tab_in_a_word(self, tmp_path, mode):
+        vocab = Vocabulary(["a", "b\tc"], np.array([2, 1]))
+        model = init_sg_model(vocab, TrainConfig(dim=2), np.random.default_rng(0))
+        with pytest.raises(CorpusError, match=r"'b\\tc'"):
+            save_model(bundle_from_model(model), tmp_path / f"m.{mode}", mode)
+        assert not (tmp_path / f"m.{mode}").exists()
+
+
 class TestSectionLikeWords:
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_roundtrip(self, tmp_path, mode):
@@ -251,6 +296,14 @@ class TestSectionLikeWords:
         assert loaded.config == json.loads(json.dumps(bundle.config))
         for name, arr in bundle.arrays.items():
             assert np.array_equal(loaded.arrays[name], arr)
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_section_header_with_a_space(self, tmp_path, mode):
+        vocab = Vocabulary(["#SECTION end", "#SECTION vocab", "a"], np.array([3, 2, 1]))
+        model = init_sg_model(vocab, TrainConfig(dim=2), np.random.default_rng(0))
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle_from_model(model), path, mode)
+        assert load_model(path).vocab.words == vocab.words
 
     def test_header_without_name_is_rejected(self, tmp_path):
         path = tmp_path / "m.txt"
