@@ -42,9 +42,6 @@ class TrainConfig:
     margin: float = 1.0
     batch_size: int = 22000          # prediction tasks (positive/negative pairs)
     learning_rate: float = 0.00055
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
     epochs: int = 1
     seed: int = 0
     objective: str = "hinge"         # "hinge" or "soft"
@@ -277,9 +274,15 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     zeroing the sums as it goes. post_batch(params), when given, runs after
     every step (used for projection/clipping). Deterministic given cfg.seed:
     the pipeline is a single sequential pass. Telemetry CSV goes to log_path
-    or $BSG_LOG. Returns the number of steps taken.
+    or $BSG_LOG. Returns the number of steps taken. The stream subsamples and
+    draws negatives by the vocabulary's settings, so a cfg.subsample_t or
+    cfg.neg_exponent that differs from them raises ValueError.
     """
-    opt = Adam(params, lr=lr, beta1=cfg.beta1, beta2=cfg.beta2, eps=cfg.adam_eps)
+    if (cfg.subsample_t, cfg.neg_exponent) != (vocab.subsample_t, vocab.neg_table_exponent):
+        raise ValueError(f"config subsample_t={cfg.subsample_t}, neg_exponent="
+                         f"{cfg.neg_exponent} disagree with the vocabulary's subsample_t="
+                         f"{vocab.subsample_t}, neg_table_exponent={vocab.neg_table_exponent}")
+    opt = Adam(params, lr=lr)
     telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
     rng = data_rng(cfg)
     batch_idx = examples_seen = 0

@@ -7,6 +7,7 @@ variable sets the default training-telemetry CSV path.
 
 import argparse
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -36,8 +37,6 @@ def _build_parser():
     sp.add_argument("--out", required=True)
     sp.add_argument("--max-size", type=int, default=280000)
     sp.add_argument("--min-count", type=int, default=1)
-    sp.add_argument("--subsample-t", type=float, default=1e-4)
-    sp.add_argument("--neg-exponent", type=float, default=1.0)
     add_common_corpus(sp)
 
     sp = sub.add_parser("train", help="train a model on a corpus")
@@ -132,10 +131,10 @@ def _build_parser():
     return p
 
 
-def _build_vocab(args):
+def _build_vocab(args, **subsampling):
     return build_vocabulary(iter_documents(args.corpus, lowercase=args.lowercase),
                             max_size=args.max_size, min_count=args.min_count,
-                            t=args.subsample_t, neg_exponent=args.neg_exponent)
+                            **subsampling)
 
 
 def _cmd_build_vocab(args):
@@ -148,7 +147,8 @@ def _cmd_build_vocab(args):
 def _cmd_train(args):
     vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
                              neg_table_exponent=args.neg_exponent)
-             if args.vocab else _build_vocab(args))
+             if args.vocab else _build_vocab(args, t=args.subsample_t,
+                                             neg_exponent=args.neg_exponent))
     cfg = bsg.TrainConfig(
         dim=args.dim, window=args.window, subsample_t=args.subsample_t,
         negatives_per_positive=args.negatives, margin=args.margin,
@@ -327,19 +327,8 @@ def _selftest_gradcheck(rng):
             arr += rng.normal(scale=0.1, size=arr.shape)
         batch = single_window(int(rng.integers(12)), list(rng.integers(0, 12, size=3)),
                               list(rng.integers(0, 12, size=3)))
-        buffers = {n: np.zeros(a.shape) for n, a in params.items()}
-        bsg.batch_gradients(model, *batch, cfg).scatter(buffers)
-        for name, arr in params.items():
-            x0 = arr.reshape(-1).copy()
-
-            def loss_of(x, arr=arr):
-                arr[...] = x.reshape(arr.shape)
-                return float(bsg.batch_gradients(model, *batch, cfg, False).losses[0])
-
-            fd = oracles.finite_diff_grad(loss_of, x0, 1e-6)
-            loss_of(x0)
-            err = np.abs(buffers[name].reshape(-1) - fd) / np.maximum(np.abs(fd), 1.0)
-            worst = max(worst, float(err.max()))
+        worst = max(worst, oracles.kernel_gradcheck(
+            partial(bsg.batch_gradients, model, cfg=cfg), params, batch, 1e-6))
     return worst
 
 

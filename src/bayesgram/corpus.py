@@ -46,6 +46,8 @@ class Vocabulary:
             raise CorpusError("empty corpus")
         if np.any(self.counts <= 0):
             raise ValueError("counts must be positive")
+        if not self.subsample_t > 0:
+            raise ValueError(f"subsampling t must be > 0, got {self.subsample_t}")
         self._index = dict(zip(self.words, range(len(self.words))))
         if len(self._index) != len(self.words):    # a repeat's later id overwrote it
             repeated = next(w for i, w in enumerate(self.words) if self._index[w] != i)
@@ -167,8 +169,6 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
         raise ValueError("max_size must be >= 1")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    if t <= 0:
-        raise ValueError("subsampling t must be > 0")
     counts = {}
     for item in token_stream:
         if isinstance(item, str):
@@ -192,13 +192,13 @@ _BLOCK = 1 << 16   # most windows per array block: bounds memory on long documen
 
 
 def subsample_stream(tokens, vocab: Vocabulary, rng: np.random.Generator):
-    """Drop frequent tokens, each kept independently with keep_prob[id]."""
+    """Keep each token independently with probability keep_prob[id]: intp ids."""
     ids = np.asarray(tokens, dtype=np.intp)
     keep = vocab.keep_prob[ids]
     drawn = keep < 1.0                  # one uniform each, in token order
     kept = ~drawn
     kept[drawn] = rng.random(drawn.sum()) < keep[drawn]    # random(0) draws nothing
-    return ids[kept].tolist()
+    return ids[kept]
 
 
 def _window_arrays(ids: np.ndarray, window_size: int, lo: int = 0, hi=None):
@@ -225,10 +225,10 @@ def context_tokens(tokens, i: int, window: int):
 
 
 def sample_negatives(vocab: Vocabulary, k: int, rng: np.random.Generator):
-    """k i.i.d. draws from the unigram distribution raised to neg_table_exponent."""
+    """k i.i.d. ids (intp) from unigram probabilities raised to neg_table_exponent."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return vocab.neg_cdf.searchsorted(rng.random(k), side="right").tolist()
+    return vocab.neg_cdf.searchsorted(rng.random(k), side="right")
 
 
 def iter_training_windows(corpus_path, vocab: Vocabulary, window_size: int,
@@ -264,13 +264,13 @@ def iter_training_batches(corpus_path, vocab: Vocabulary, window_size: int,
         raise ValueError("k must be >= 1")
     parts, carried = [], 0
     for doc in iter_documents(corpus_path, lowercase=lowercase):
-        ids = np.asarray(subsample_stream(vocab.ids(doc), vocab, rng), dtype=np.intp)
+        ids = subsample_stream(vocab.ids(doc), vocab, rng)
         for lo in range(0, len(ids), _BLOCK):
             centers, pos, mask = _window_arrays(ids, window_size, lo, lo + _BLOCK)
             n = mask.sum(axis=1)
             if not len(n):
                 continue
-            draws = np.asarray(sample_negatives(vocab, k * int(n.sum()), rng))
+            draws = sample_negatives(vocab, k * int(n.sum()), rng)
             at = (k * (np.cumsum(n) - n)[:, None, None]       # the window's first draw
                   + np.arange(k)[:, None] * n[:, None, None] + np.arange(pos.shape[1]))
             neg = np.where(mask[:, None, :], draws[np.minimum(at, len(draws) - 1)], 0)

@@ -15,8 +15,8 @@ import numpy as np
 from .gauss import Gaussian
 
 __all__ = ["kl_quadrature_oracle", "marginal_loglik_oracle", "finite_diff_grad",
-           "SynthSpec", "synth_corpus", "write_synth_corpus",
-           "polysemy_spec", "hypernymy_spec"]
+           "gradcheck", "kernel_gradcheck", "SynthSpec", "synth_corpus",
+           "write_synth_corpus", "polysemy_spec", "hypernymy_spec"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -114,6 +114,40 @@ def finite_diff_grad(loss, params: np.ndarray, h: float = 1e-5) -> np.ndarray:
         dn[i] -= h
         grad[i] = (loss(up) - loss(dn)) / (2.0 * h)
     return grad
+
+
+def gradcheck(loss, params: dict, grads: dict, h: float = 1e-6) -> float:
+    """Worst relative error |g - fd| / max(|g|, |fd|, 1e-3) of the analytic
+    gradients grads[name] against central differences of loss(), a scalar
+    function of the arrays params[name], which are perturbed in place and restored.
+    """
+    names = sorted(params)
+    splits = np.cumsum([params[n].size for n in names])[:-1]
+
+    def flat(arrays):
+        return np.concatenate([np.asarray(arrays[n], np.float64).ravel() for n in names])
+
+    def loss_of(vec):
+        for n, part in zip(names, np.split(vec, splits)):
+            params[n][...] = part.reshape(params[n].shape)
+        return float(loss())
+
+    x0, g = flat(params), flat(grads)
+    fd = finite_diff_grad(loss_of, x0, h)
+    loss_of(x0)
+    denom = np.maximum(np.maximum(np.abs(g), np.abs(fd)), 1e-3)
+    return float(np.max(np.abs(g - fd) / denom))
+
+
+def kernel_gradcheck(kernel, params: dict, batch, h: float = 1e-6) -> float:
+    """gradcheck of the summed window losses of kernel(*batch, want_grads=...),
+    a batch kernel bound to its model (and config) that reads the arrays params.
+    Its gradients are scattered into dense arrays with BatchGrads.scatter, as
+    training does."""
+    grads = {n: np.zeros(a.shape) for n, a in params.items()}
+    kernel(*batch).scatter(grads)
+    return gradcheck(lambda: kernel(*batch, want_grads=False).losses.sum(),
+                     params, grads, h)
 
 
 @dataclass

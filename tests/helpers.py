@@ -1,8 +1,8 @@
-"""Shared test utilities: flat parameter vectors and gradient checking."""
+"""Shared test utilities: tiny vocabularies and perturbed models."""
 
 import numpy as np
 
-from bayesgram import bsg, oracles
+from bayesgram import bsg
 from bayesgram.corpus import Vocabulary
 
 
@@ -17,48 +17,9 @@ def tiny_vocab(n=12, seed=None):
     return Vocabulary(words, counts)
 
 
-def flatten(params: dict, names):
-    return np.concatenate([np.asarray(params[n], dtype=np.float64).reshape(-1)
-                           for n in names])
-
-
-def write_back(params: dict, names, vec):
-    off = 0
-    for n in names:
-        a = params[n]
-        a[...] = vec[off:off + a.size].reshape(a.shape)
-        off += a.size
-
-
-def rel_err(analytic, fd):
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(fd)), 1e-3)
-    return float(np.max(np.abs(analytic - fd) / denom))
-
-
 def perturbed_bsg_model(vocab, cfg, rng, scale=0.2):
     model = bsg.init_bsg_model(vocab, cfg, rng)
     for arr in model.param_arrays().values():
         arr += rng.normal(scale=scale, size=arr.shape)
     return model
 
-
-def kernel_gradcheck(kernel, params, batch, h=1e-6):
-    """Max relative error of a batch kernel's gradients vs finite differences.
-
-    kernel(*batch, want_grads=...) is a model's batch kernel bound to its model
-    (and config), params the arrays it reads. The analytic gradients are
-    densified with BatchGrads.scatter, as training does; the loss differentiated
-    is the sum of the batch's window losses.
-    """
-    names = sorted(params)
-    dense = {n: np.zeros(params[n].shape) for n in names}
-    kernel(*batch).scatter(dense)
-    x0 = flatten(params, names)
-
-    def loss_of(vec):
-        write_back(params, names, vec)
-        return float(kernel(*batch, want_grads=False).losses.sum())
-
-    fd = oracles.finite_diff_grad(loss_of, x0, h)
-    write_back(params, names, x0)
-    return rel_err(flatten(dense, names), fd)

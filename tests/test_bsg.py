@@ -9,7 +9,7 @@ from bayesgram.bsg import (BatchGrads, BsgModel, TrainConfig, batch_gradients,
 from bayesgram.corpus import Vocabulary, build_vocabulary, iter_documents, single_window
 from bayesgram.gauss import Gaussian, kl_divergence
 
-from helpers import kernel_gradcheck, perturbed_bsg_model, tiny_vocab
+from helpers import perturbed_bsg_model, tiny_vocab
 
 
 def cfg64(**kw):
@@ -194,7 +194,7 @@ class TestWindowLossGradients:
             neg = list(rng.integers(0, 20, size=3))
             kernel = partial(batch_gradients, model, cfg=cfg)
             batch = single_window(center, pos, neg)
-            assert kernel_gradcheck(kernel, model.param_arrays(), batch) <= 1e-4
+            assert oracles.kernel_gradcheck(kernel, model.param_arrays(), batch) <= 1e-4
 
 
 class TestScatter:
@@ -291,7 +291,7 @@ class TestTrain:
         path = write_corpus(tmp_path, spec)
         vocab = build_vocabulary(iter_documents(path), 100, 1)
         cfg = TrainConfig(dim=4, window=2, epochs=1, seed=3, batch_size=128,
-                          learning_rate=0.01, subsample_t=1e-2)
+                          learning_rate=0.01)
         m1 = train(path, vocab, cfg)
         m2 = train(path, vocab, cfg)
         for k, a in m1.param_arrays().items():
@@ -302,11 +302,22 @@ class TestTrain:
         path = write_corpus(tmp_path, spec)
         vocab = build_vocabulary(iter_documents(path), 100, 1)
         cfg = TrainConfig(dim=10, window=2, epochs=5, seed=0, batch_size=1024,
-                          learning_rate=0.05, subsample_t=1e-2)
+                          learning_rate=0.05)
         losses = []
         train(path, vocab, cfg, epoch_losses=losses)
         assert len(losses) == 5
         assert losses[-1] < losses[0]
+
+    def test_config_disagreeing_with_vocabulary_rejected(self, tmp_path):
+        path = write_corpus(tmp_path, oracles.polysemy_spec(tokens_per_doc=50, n_docs=1))
+        vocab = build_vocabulary(iter_documents(path), 100, 1, t=1e-2)
+        for kw, named in [(dict(), "subsample_t=0.0001, neg_exponent=1.0"),
+                          (dict(subsample_t=1e-2, neg_exponent=0.75),
+                           "subsample_t=0.01, neg_exponent=0.75")]:
+            cfg = TrainConfig(dim=3, window=2, **kw)
+            with pytest.raises(ValueError, match=f"config {named} disagree with the "
+                               "vocabulary's subsample_t=0.01, neg_table_exponent=1.0"):
+                train(path, vocab, cfg)
 
     def test_telemetry_csv(self, tmp_path):
         spec = oracles.polysemy_spec(tokens_per_doc=200, n_docs=2)
@@ -314,7 +325,7 @@ class TestTrain:
         vocab = build_vocabulary(iter_documents(path), 100, 1)
         log = tmp_path / "telemetry.csv"
         cfg = TrainConfig(dim=3, window=2, epochs=1, batch_size=64,
-                          learning_rate=0.01, subsample_t=1e-2)
+                          learning_rate=0.01)
         train(path, vocab, cfg, log_path=log)
         lines = log.read_text().splitlines()
         assert lines[0] == "batch_index,loss,examples_seen"

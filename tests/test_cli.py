@@ -75,6 +75,16 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err == "error: non-UTF-8 vocabulary line 2 at byte offset 5\n"
 
+    @pytest.mark.parametrize("t", ["0", "-1"])
+    def test_non_positive_subsample_t(self, workdir, tmp_path, capsys, t):
+        vocab = tmp_path / "v.tsv"
+        vocab.write_text("g0_ind0\t3\n")
+        assert main(["train", str(workdir / "corpus.txt"), "--vocab", str(vocab),
+                     "--out", str(tmp_path / "m.bin"), f"--subsample-t={t}"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: subsampling t must be > 0, got {float(t)}\n"
+        assert captured.out == "" and not (tmp_path / "m.bin").exists()
+
     def test_telemetry_log(self, workdir, tmp_path):
         log = tmp_path / "log.csv"
         assert main(["train", str(workdir / "corpus.txt"),
