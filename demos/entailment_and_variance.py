@@ -19,17 +19,17 @@ from bayesgram.evaluate import (EntailmentPair, eval_directionality,
                                 frequency_direction_baseline)
 from bayesgram.gauss import log_det_cov
 
-workdir = Path(tempfile.mkdtemp(prefix="bayesgram_demo_"))
-corpus = workdir / "corpus.txt"
+with tempfile.TemporaryDirectory(prefix="bayesgram_demo_") as workdir:
+    corpus = Path(workdir) / "corpus.txt"
 
-spec = oracles.hypernymy_spec(n_hypernyms=5, hyponyms_per=4,
-                              tokens_per_doc=1000, n_docs=30, seed=0)
-oracles.write_synth_corpus(spec, corpus)
-vocab = build_vocabulary(iter_documents(corpus), 1000, 1, t=1e-2)
+    spec = oracles.hypernymy_spec(n_hypernyms=5, hyponyms_per=4,
+                                  tokens_per_doc=1000, n_docs=30, seed=0)
+    oracles.write_synth_corpus(spec, corpus)
+    vocab = build_vocabulary(iter_documents(corpus), 1000, 1, t=1e-2)
 
-cfg = bsg.TrainConfig(dim=10, window=2, epochs=5, seed=0, batch_size=512,
-                      learning_rate=0.05, margin=2.0, subsample_t=1e-2)
-model = bsg.train(corpus, vocab, cfg)
+    cfg = bsg.TrainConfig(dim=10, window=2, epochs=5, seed=0, batch_size=512,
+                          learning_rate=0.05, margin=2.0, subsample_t=1e-2)
+    model = bsg.train(corpus, vocab, cfg)
 
 pairs = [EntailmentPair(a, b, True) for a, b in spec.gold_pairs]
 acc = eval_directionality(model, pairs)

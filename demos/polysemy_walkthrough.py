@@ -16,18 +16,18 @@ from bayesgram import bsg, oracles
 from bayesgram.corpus import build_vocabulary, iter_documents
 from bayesgram.gauss import kl_divergence
 
-workdir = Path(tempfile.mkdtemp(prefix="bayesgram_demo_"))
-corpus = workdir / "corpus.txt"
+with tempfile.TemporaryDirectory(prefix="bayesgram_demo_") as workdir:
+    corpus = Path(workdir) / "corpus.txt"
 
-spec = oracles.polysemy_spec(tokens_per_doc=1000, n_docs=30, seed=0)
-oracles.write_synth_corpus(spec, corpus)
-vocab = build_vocabulary(iter_documents(corpus), 1000, 1, t=1e-2)
-print(f"corpus: {int(vocab.counts.sum())} tokens, vocabulary of {len(vocab)}")
+    spec = oracles.polysemy_spec(tokens_per_doc=1000, n_docs=30, seed=0)
+    oracles.write_synth_corpus(spec, corpus)
+    vocab = build_vocabulary(iter_documents(corpus), 1000, 1, t=1e-2)
+    print(f"corpus: {int(vocab.counts.sum())} tokens, vocabulary of {len(vocab)}")
 
-cfg = bsg.TrainConfig(dim=10, window=2, epochs=5, seed=0, batch_size=512,
-                      learning_rate=0.05, subsample_t=1e-2)
-losses = []
-model = bsg.train(corpus, vocab, cfg, epoch_losses=losses)
+    cfg = bsg.TrainConfig(dim=10, window=2, epochs=5, seed=0, batch_size=512,
+                          learning_rate=0.05, subsample_t=1e-2)
+    losses = []
+    model = bsg.train(corpus, vocab, cfg, epoch_losses=losses)
 print("epoch mean losses:", " ".join(f"{x:.3f}" for x in losses))
 
 # The prior of poly0 is context-agnostic. Conditioning on indicators of one

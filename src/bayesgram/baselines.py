@@ -18,10 +18,12 @@ from .encoder import uniform_table
 from .gauss import fold, kl_parts
 from .optim import CHUNK
 
-__all__ = ["SgModel", "W2gModel", "sg_batch_gradients", "w2g_batch_gradients",
-           "clip_params", "train_baseline"]
+__all__ = ["SgModel", "W2gModel", "W2G_SETTINGS", "sg_batch_gradients",
+           "w2g_batch_gradients", "clip_params", "train_baseline"]
 
 BASELINE_LEARNING_RATES = {"sg": 0.0015, "w2g_s": 0.0065, "w2g_d": 0.0015}
+# the W2gModel fields beyond its tables, which a model file keeps in its config
+W2G_SETTINGS = ("energy_kind", "max_mean_norm", "var_lo", "var_hi")
 
 
 @dataclass
@@ -56,7 +58,10 @@ def _log_sigmoid(x):
 
 
 def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
+    """1 / (1 + exp(-x)), and its limit 0 where exp(-x) would overflow x's dtype."""
+    # a float32 x compares in float64 here, so the boundary is exact for it too
+    over = x < -np.log(np.float64(np.finfo(x.dtype).max))
+    return np.where(over, 0.0, 1.0 / (1.0 + np.exp(-np.where(over, 0.0, x))))
 
 
 def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
@@ -177,17 +182,14 @@ def init_sg_model(vocab, cfg: TrainConfig, rng) -> SgModel:
                    out_vec=np.zeros((V, d), dtype=dtype))
 
 
-def init_w2g_model(vocab, cfg: TrainConfig, rng, cov_kind,
-                   energy_kind="expected_likelihood", max_mean_norm=20.0,
-                   var_lo=1e-3, var_hi=10.0) -> W2gModel:
+def init_w2g_model(vocab, cfg: TrainConfig, rng, cov_kind, **settings) -> W2gModel:
+    """A W2G model with fresh tables; settings are W2G_SETTINGS fields."""
     V, d = len(vocab), cfg.dim
     dtype = np.dtype(cfg.param_dtype)
     lv_shape = (V,) if cov_kind == "spherical" else (V, d)
     return W2gModel(vocab=vocab, cov_kind=cov_kind, dim=d,
                     mean=uniform_table(rng, 0.5 / d, (V, d), dtype),
-                    log_var=np.zeros(lv_shape, dtype=dtype),
-                    energy_kind=energy_kind, max_mean_norm=max_mean_norm,
-                    var_lo=var_lo, var_hi=var_hi)
+                    log_var=np.zeros(lv_shape, dtype=dtype), **settings)
 
 
 def train_baseline(kind: str, corpus_path, vocab: Vocabulary, cfg: TrainConfig,

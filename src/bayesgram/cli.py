@@ -65,12 +65,9 @@ def _build_parser():
     sp.add_argument("--min-count", type=int, default=1)
     sp.add_argument("--neg-exponent", type=float, default=1.0)
     sp.add_argument("--energy", choices=["expected_likelihood", "negated_kl"],
-                    default="expected_likelihood")
+                    default=baselines.W2gModel.energy_kind)
     sp.add_argument("--format", choices=["text", "binary"], default="binary")
     sp.add_argument("--log", help="telemetry CSV path (default: $BSG_LOG)")
-    sp.add_argument("--deterministic", action="store_true",
-                    help="no-op: runs are always deterministic (equal seeds "
-                         "give bit-identical models)")
     add_common_corpus(sp)
 
     sp = sub.add_parser("eval-sim", help="word similarity (Spearman rho)")

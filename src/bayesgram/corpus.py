@@ -5,6 +5,7 @@ Tokenization is whitespace split (optionally lowercased). Training windows
 never cross document boundaries.
 """
 
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -169,18 +170,18 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
         raise ValueError("max_size must be >= 1")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    counts = {}
+    if not t > 0:
+        raise ValueError(f"subsampling t must be > 0, got {t}")
+    counts = Counter()
     for item in token_stream:
         if isinstance(item, str):
-            counts[item] = counts.get(item, 0) + 1
+            counts[item] += 1
         else:
-            for tok in item:
-                counts[tok] = counts.get(tok, 0) + 1
+            counts.update(item)
     if not counts:
         raise CorpusError("empty corpus")
-    # dict preserves insertion order, so the sort is stable on first-seen order
-    kept = sorted(counts.items(), key=lambda kv: -kv[1])[:max_size]
-    kept = [(w, c) for w, c in kept if c >= min_count]
+    # most_common sorts stably, so frequency ties keep first-seen order
+    kept = [(w, c) for w, c in counts.most_common(max_size) if c >= min_count]
     if not kept:
         raise CorpusError("empty corpus: no word reaches min_count")
     words = [w for w, _ in kept]

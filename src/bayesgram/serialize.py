@@ -1,23 +1,25 @@
 """Model bundle serialization plus model inspection (embedding view, nearest, infer).
 
-Two on-disk formats share one logical schema:
+A model file is one ordered list of named sections: header, config, vocab,
+`array:<name>` in name order, then end. Two on-disk formats frame them:
 
 * text: line-oriented with `#SECTION <name>` headers and floats printed at
   17 significant digits, diffable and portable;
 * binary: magic `BSG1`, little-endian, length-prefixed sections, exact.
 
-A bundle carries the vocabulary, all parameter arrays of one model kind
+Each reader frames and decodes its sections, naming the line or byte of a
+fault; `_assemble` holds the section rules both formats share. A bundle carries the vocabulary, all parameter arrays of one model kind
 (bsg, sg, or w2g), and a snapshot of the training configuration.
 """
 
-import io
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import SgModel, W2gModel
+from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import BsgModel
 from .corpus import Vocabulary, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
@@ -50,7 +52,6 @@ class ModelBundle:
     vocab: Vocabulary
     arrays: dict
     config: dict = field(default_factory=dict)
-    format_version: int = FORMAT_VERSION
 
     def __post_init__(self):
         if self.model_kind not in REQUIRED_ARRAYS:
@@ -64,22 +65,16 @@ class ModelBundle:
 
 def bundle_from_model(model, config=None) -> ModelBundle:
     """Wrap a live model (BsgModel, SgModel, or W2gModel) for serialization."""
-    cfg = dict(config) if config else {}
-    if isinstance(model, BsgModel):
-        kind, cov = "bsg", model.cov_kind
-    elif isinstance(model, SgModel):
-        kind, cov = "sg", "none"
-    elif isinstance(model, W2gModel):
-        kind, cov = "w2g", model.cov_kind
-        cfg.setdefault("energy_kind", model.energy_kind)
-        cfg.setdefault("max_mean_norm", model.max_mean_norm)
-        cfg.setdefault("var_lo", model.var_lo)
-        cfg.setdefault("var_hi", model.var_hi)
-    else:
+    kind = {BsgModel: "bsg", SgModel: "sg", W2gModel: "w2g"}.get(type(model))
+    if kind is None:
         raise SerializationError(f"unsupported model type {type(model).__name__}")
-    return ModelBundle(model_kind=kind, cov_kind=cov, dim=model.dim,
-                       vocab=model.vocab, arrays=dict(model.param_arrays()),
-                       config=cfg)
+    cfg = dict(config) if config else {}
+    if kind == "w2g":
+        for name in W2G_SETTINGS:
+            cfg.setdefault(name, getattr(model, name))
+    return ModelBundle(model_kind=kind, cov_kind=getattr(model, "cov_kind", "none"),
+                       dim=model.dim, vocab=model.vocab,
+                       arrays=dict(model.param_arrays()), config=cfg)
 
 
 def model_from_bundle(bundle: ModelBundle):
@@ -96,16 +91,13 @@ def model_from_bundle(bundle: ModelBundle):
     if bundle.model_kind == "sg":
         return SgModel(vocab=bundle.vocab, dim=bundle.dim,
                        in_vec=a["in_vec"], out_vec=a["out_vec"])
-    cfg = bundle.config
+    settings = {k: bundle.config[k] for k in W2G_SETTINGS if k in bundle.config}
     return W2gModel(vocab=bundle.vocab, cov_kind=bundle.cov_kind, dim=bundle.dim,
-                    mean=a["mean"], log_var=a["log_var"],
-                    energy_kind=cfg.get("energy_kind", "expected_likelihood"),
-                    max_mean_norm=cfg.get("max_mean_norm", 20.0),
-                    var_lo=cfg.get("var_lo", 1e-3), var_hi=cfg.get("var_hi", 10.0))
+                    mean=a["mean"], log_var=a["log_var"], **settings)
 
 
 def _header_dict(bundle):
-    return {"format_version": bundle.format_version,
+    return {"format_version": FORMAT_VERSION,
             "model_kind": bundle.model_kind,
             "cov_kind": bundle.cov_kind,
             "dim": bundle.dim}
@@ -133,89 +125,73 @@ def _save_text(bundle, vocab_text, f):
     f.write("#SECTION end\n")
 
 
-def _load_text(lines):
-    def fail(msg, lineno):
-        raise SerializationError(f"line {lineno}: {msg}")
+def _text_sections(text):
+    """(name, where, value) of each section of a text model file: the file is
+    split at its `#SECTION` lines, then each section is decoded."""
+    lines = [line.removesuffix("\r") for line in text.split("\n")]
+    if lines[0] != "#SECTION header":
+        raise SerializationError("line 1: expected '#SECTION header'")
+    # a vocab word may start "#SECTION ", but its line holds a tab
+    heads = [i for i, line in enumerate(lines)
+             if line.startswith("#SECTION ") and "\t" not in line]
+    for i, j in zip(heads, heads[1:] + [len(lines)]):
+        name, value = _text_section(lines[i], lines[i + 1:j], i + 1)
+        yield name, f"line {i + 1}", value
 
-    it = enumerate(lines, 1)
-    lineno, line = next(it, (0, None))
-    if line is None or line.strip() != "#SECTION header":
-        fail("expected '#SECTION header'", lineno)
-    header = {}
-    config = None
-    vocab_at, vocab_lines = 0, []
-    arrays = {}
-    state = "header"
-    pending = None  # (name, dtype, shape, flat list, need)
-    saw_end = False
-    for lineno, raw in it:
-        line = raw.removesuffix("\n").removesuffix("\r")
-        # a vocab word may start "#SECTION ", but its line holds a tab
-        if line.startswith("#SECTION ") and "\t" not in line:
-            if pending is not None:
-                name, dtype, shape, flat, need = pending
-                if len(flat) != need:
-                    fail(f"truncated array section {name!r}: "
-                         f"got {len(flat)} of {need} values", lineno)
-                arrays[name] = np.array(flat, dtype=np.dtype(dtype)).reshape(shape)
-                pending = None
-            parts = line.split()
-            section = parts[1] if len(parts) > 1 else ""
-            if section == "config":
-                state = "config"
-            elif section == "vocab":
-                state, vocab_at, vocab_lines = "vocab", lineno + 1, []
-            elif section == "array":
-                if len(parts) < 5:
-                    fail("malformed array section header", lineno)
-                name, dtype = parts[2], parts[3]
-                try:
-                    np.dtype(dtype)
-                    ndim = int(parts[4])
-                    shape = tuple(int(x) for x in parts[5:5 + ndim])
-                except (TypeError, ValueError):
-                    fail(f"malformed array section header {line!r}", lineno)
-                if len(shape) != ndim:
-                    fail(f"array section {name!r}: bad shape", lineno)
-                pending = (name, dtype, shape, [], int(np.prod(shape)) if shape else 1)
-                state = "array"
-            elif section == "end":
-                saw_end = True
-                state = "done"
-            else:
-                fail(f"unknown section {section!r}", lineno)
-            continue
-        if state == "header":
-            k, _, v = line.partition("\t")
-            header[k] = v
-        elif state == "config":
-            try:
-                config = json.loads(line)
-            except json.JSONDecodeError as e:
-                fail(f"corrupt config JSON: {e.msg} at column {e.colno}", lineno)
-        elif state == "vocab":
-            vocab_lines.append(line)
-        elif state == "array":
-            try:
-                pending[3].extend(float(x) for x in line.split())
-            except ValueError as e:
-                fail(f"array section {pending[0]!r}: {e}", lineno)
-        elif state == "done" and line:
-            fail("trailing data after end section", lineno)
-    if pending is not None:
-        name = pending[0]
-        raise SerializationError(f"truncated file: array section {name!r} unfinished")
-    if not saw_end:
-        raise SerializationError("truncated file: missing end section")
-    words, counts = parse_vocab(vocab_lines, vocab_at, SerializationError)
-    return _assemble(header, config, words, counts, arrays)
+
+def _text_section(head, body, lineno):
+    """(name, value) of the section whose `#SECTION` line, head, is line
+    lineno, and whose lines are body."""
+    def fail(msg, at=lineno):
+        raise SerializationError(f"line {at}: {msg}")
+
+    parts = head.split()
+    section = parts[1] if len(parts) > 1 else ""
+    if section == "header":
+        return section, dict(line.partition("\t")[::2] for line in body)
+    if section == "config":
+        try:
+            return section, json.loads("\n".join(body))
+        except json.JSONDecodeError as e:
+            fail(f"corrupt config JSON: {e.msg} at column {e.colno}", lineno + e.lineno)
+    if section == "vocab":
+        return section, parse_vocab(body, lineno + 1, SerializationError)
+    if section == "end":
+        for at, line in enumerate(body, lineno + 1):
+            if line:
+                fail("trailing data after end section", at)
+        return section, None
+    if section != "array":
+        fail(f"unknown section {section!r}")
+    if len(parts) < 5:
+        fail("malformed array section header")
+    name = parts[2]
+    try:
+        dtype = np.dtype(parts[3])
+        ndim = int(parts[4])
+        shape = tuple(int(x) for x in parts[5:5 + ndim])
+    except (TypeError, ValueError):
+        fail(f"malformed array section header {head!r}")
+    if len(shape) != ndim:
+        fail(f"array section {name!r}: bad shape")
+    flat = []
+    for at, line in enumerate(body, lineno + 1):
+        try:
+            flat.extend(float(x) for x in line.split())
+        except ValueError as e:
+            fail(f"array section {name!r}: {e}", at)
+    need = math.prod(shape)
+    if len(flat) != need:
+        fail(f"truncated array section {name!r}: got {len(flat)} of {need} values",
+             lineno + 1 + len(body))
+    return "array:" + name, np.array(flat, dtype=dtype).reshape(shape)
 
 
 # -------------------------------------------------------------- binary format
 
 def _save_binary(bundle, vocab_text, f):
     f.write(MAGIC)
-    f.write(struct.pack("<I", bundle.format_version))
+    f.write(struct.pack("<I", FORMAT_VERSION))
 
     def section(name, payload):
         nb = name.encode("utf-8")
@@ -237,10 +213,9 @@ def _save_binary(bundle, vocab_text, f):
     section("end", b"")
 
 
-def _load_binary(f):
-    data = f.read()
-    if data[:4] != MAGIC:
-        raise SerializationError("byte 0: bad magic, not a model file")
+def _binary_sections(data):
+    """(name, where, value) of each length-prefixed section of a binary model
+    file, after its magic and format version."""
     if len(data) < 8:
         raise SerializationError("byte 4: truncated format version")
     (version,) = struct.unpack_from("<I", data, 4)
@@ -248,11 +223,8 @@ def _load_binary(f):
         raise SerializationError(
             f"unknown format version {version} (supported: {FORMAT_VERSION})")
     off = 8
-    header = config = None
-    words, counts = [], []
-    arrays = {}
-    saw_end = False
     while off < len(data):
+        at = off
         if off + 4 > len(data):
             raise SerializationError(f"byte {off}: truncated section name length")
         (nlen,) = struct.unpack_from("<I", data, off)
@@ -267,35 +239,33 @@ def _load_binary(f):
         payload = data[start:off]
         if len(payload) != plen:
             raise SerializationError(f"byte {start}: truncated section {name!r}")
-        if name == "header":
-            header = _json_object(payload, start, "header")
-        elif name == "config":
-            config = _json(payload, start, "config")   # null reads as {}, as in text
-        elif name == "vocab":
-            words, counts = parse_vocab(
-                _utf8(payload, start, "vocab").split("\n"),
-                error=lambda msg: SerializationError(f"byte {start}: {msg}"))
-        elif name.startswith("array:"):
-            if plen < 4:
-                raise SerializationError(f"byte {start}: truncated array meta length")
-            (mlen,) = struct.unpack_from("<I", payload, 0)
-            meta = _json_object(payload[4:4 + mlen], start + 4, f"{name} meta")
-            try:
-                dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-                arr = np.frombuffer(payload[4 + mlen:], dtype=dtype).reshape(meta["shape"])
-            except (KeyError, TypeError, ValueError) as e:
-                raise SerializationError(
-                    f"byte {start}: corrupt array section {name[6:]!r}: {e}") from None
-            arrays[name[6:]] = arr.astype(meta["dtype"])
-        elif name == "end":
-            saw_end = True
-        else:
-            raise SerializationError(f"unknown section {name!r}")
-    if not saw_end:
-        raise SerializationError("truncated file: missing end section")
-    if header is not None:
-        header = {k: str(v) for k, v in header.items()}
-    return _assemble(header, config, words, counts, arrays)
+        yield name, f"byte {at}", _binary_section(name, payload, start)
+
+
+def _binary_section(name, payload, start):
+    """The value of section `name`, whose payload starts at byte start."""
+    if name == "header":
+        return {k: str(v) for k, v in _json_object(payload, start, "header").items()}
+    if name == "config":
+        return _json(payload, start, "config")
+    if name == "vocab":
+        return parse_vocab(_utf8(payload, start, "vocab").split("\n"),
+                           error=lambda msg: SerializationError(f"byte {start}: {msg}"))
+    if name == "end":
+        return None
+    if not name.startswith("array:"):
+        raise SerializationError(f"byte {start}: unknown section {name!r}")
+    if len(payload) < 4:
+        raise SerializationError(f"byte {start}: truncated array meta length")
+    (mlen,) = struct.unpack_from("<I", payload, 0)
+    meta = _json_object(payload[4:4 + mlen], start + 4, f"{name} meta")
+    try:
+        dtype = np.dtype(meta["dtype"]).newbyteorder("<")
+        arr = np.frombuffer(payload[4 + mlen:], dtype=dtype).reshape(meta["shape"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise SerializationError(
+            f"byte {start}: corrupt array section {name[6:]!r}: {e}") from None
+    return arr.astype(meta["dtype"])
 
 
 def _utf8(raw, start, what):
@@ -324,19 +294,36 @@ def _json_object(raw, start, what):
     return obj
 
 
-def _assemble(header, config, words, counts, arrays):
-    if header is None or "model_kind" not in header:
+# --------------------------------------------------------------- both formats
+
+def _assemble(sections):
+    """The bundle of a model file's sections, given as (name, where, value) in
+    file order, `where` naming the line or byte a section starts at. The rules
+    of both formats: a section appears at most once, none follows end, and
+    end, header and vocab are present."""
+    found = {}
+    for name, where, value in sections:
+        if "end" in found:
+            raise SerializationError(f"{where}: section {name!r} after end section")
+        if name in found:
+            raise SerializationError(f"{where}: repeated section {name!r}")
+        found[name] = value
+    if "end" not in found:
+        raise SerializationError("truncated file: missing end section")
+    header = found.get("header", {})
+    if "model_kind" not in header:
         raise SerializationError("truncated file: missing header section")
     version = int(header.get("format_version", -1))
     if version != FORMAT_VERSION:
         raise SerializationError(
             f"unknown format version {version} (supported: {FORMAT_VERSION})")
+    words, counts = found.get("vocab", ([], []))
     if not words:
         raise SerializationError("truncated file: missing vocab section")
-    cfg = config or {}
-    vocab = Vocabulary(words, np.asarray(counts, dtype=np.int64),
-                       subsample_t=cfg.get("subsample_t", 1e-4),
+    cfg = found.get("config") or {}      # null reads as {}
+    vocab = Vocabulary(words, counts, subsample_t=cfg.get("subsample_t", 1e-4),
                        neg_table_exponent=cfg.get("neg_exponent", 1.0))
+    arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
     return ModelBundle(model_kind=header["model_kind"],
                        cov_kind=header["cov_kind"],
                        dim=int(header["dim"]),
@@ -358,18 +345,10 @@ def save_model(bundle: ModelBundle, path, mode: str = "binary"):
 
 def load_model(path) -> ModelBundle:
     with open(path, "rb") as f:
-        head = f.read(4)
-        f.seek(0)
-        if head == MAGIC:
-            return _load_binary(f)
-        text = io.TextIOWrapper(f, encoding="utf-8", newline="\n")
-        try:
-            return _load_text(text)
-        except UnicodeDecodeError:
-            # the decoder reads ahead in blocks, so find the byte in one pass
-            f.seek(0)
-            _utf8(f.read(), 0, "text model file")
-            raise
+        data = f.read()
+    if data[:4] == MAGIC:
+        return _assemble(_binary_sections(data))
+    return _assemble(_text_sections(_utf8(data, 0, "text model file")))
 
 
 # ----------------------------------------------------------------- inspection

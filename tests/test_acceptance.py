@@ -296,8 +296,7 @@ def test_criterion_7_determinism_and_serialization(poly_corpus, tmp_path, report
     a, b = tmp_path / "a.bin", tmp_path / "b.bin"
     argv = ["train", str(corpus), "--model", "bsg", "--dim", "6",
             "--window", "2", "--epochs", "1", "--batch-size", "512",
-            "--subsample-t", "0.01", "--lr", "0.05", "--seed", "9",
-            "--deterministic"]
+            "--subsample-t", "0.01", "--lr", "0.05", "--seed", "9"]
     assert cli_main(argv + ["--out", str(a)]) == 0
     assert cli_main(argv + ["--out", str(b)]) == 0
     identical = a.read_bytes() == b.read_bytes()

@@ -65,6 +65,20 @@ class TestSgLoss:
         m.out_vec[2] = -50.0   # negative score -> -inf direction
         assert sg_loss(m, 0, [1], [2]) == pytest.approx(0.0, abs=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_scores_800_saturate_without_overflow(self, dtype, sign):
+        m = sg_model(d=2)
+        m.in_vec, m.out_vec = m.in_vec.astype(dtype), m.out_vec.astype(dtype)
+        m.in_vec[0] = 20.0
+        m.out_vec[1] = 20.0 * sign     # positive score 800 * sign
+        m.out_vec[2] = -20.0 * sign    # negative score -800 * sign
+        g = sg_batch_gradients(m, *single_window(0, [1], [2]))
+        wrong = float(sign < 0)        # both scores on the wrong side: slope 1 each
+        assert g.losses[0] == 1600.0 * wrong
+        assert np.array_equal(g.rows["in_vec"][1], [[40.0 * wrong] * 2])
+        assert np.array_equal(g.rows["out_vec"][1], [[-20.0 * wrong] * 2, [20.0 * wrong] * 2])
+
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(1)
         for _ in range(10):

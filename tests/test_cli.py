@@ -18,7 +18,7 @@ def workdir(tmp_path_factory):
     assert main(["train", str(corpus), "--out", str(model), "--model", "bsg",
                  "--dim", "4", "--window", "2", "--epochs", "1",
                  "--batch-size", "256", "--subsample-t", "0.01",
-                 "--seed", "1", "--deterministic"]) == 0
+                 "--seed", "1"]) == 0
 
     (d / "sim.tsv").write_text(
         "g0_ind0\tg0_ind1\t9.0\ng0_ind0\tg1_ind0\t2.0\nmono0\tg0_ind2\t5.0\n")
@@ -98,7 +98,7 @@ class TestTrain:
         argv = ["train", str(workdir / "corpus.txt"), "--model", "bsg",
                 "--dim", "3", "--window", "2", "--epochs", "1",
                 "--batch-size", "256", "--subsample-t", "0.01",
-                "--seed", "7", "--deterministic"]
+                "--seed", "7"]
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()

@@ -62,6 +62,14 @@ class TestBuildVocabulary:
         with pytest.raises(CorpusError, match="empty corpus"):
             build_vocabulary([], 10, 1)
 
+    @pytest.mark.parametrize("t", [0.0, -1e-4])
+    def test_non_positive_t_rejected_before_reading(self, t):
+        def unread():
+            pytest.fail("the token stream was read")
+
+        with pytest.raises(ValueError, match="t must be > 0"):
+            build_vocabulary(iter(unread, None), 10, 1, t=t)
+
     def test_chunking_invariance(self):
         flat = ["a", "b", "a", "c", "b", "a"]
         chunked = [["a", "b"], ["a", "c", "b"], ["a"]]

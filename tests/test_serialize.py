@@ -1,11 +1,12 @@
 import dataclasses
 import json
+import re
 import struct
 
 import numpy as np
 import pytest
 
-from bayesgram.baselines import init_sg_model, init_w2g_model
+from bayesgram.baselines import W2G_SETTINGS, init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
 from bayesgram.cli import main
 from bayesgram.corpus import CorpusError, Vocabulary
@@ -95,6 +96,12 @@ class TestRoundTrip:
         back = model_from_bundle(load_model(tmp_path / "m.bin"))
         assert back.energy_kind == "negated_kl"
         assert back.max_mean_norm == 7.0
+
+    def test_w2g_settings_absent_from_config_take_model_defaults(self):
+        model = make_model("w2g")
+        back = model_from_bundle(dataclasses.replace(bundle_from_model(model), config={}))
+        assert ([getattr(back, k) for k in W2G_SETTINGS]
+                == [getattr(model, k) for k in W2G_SETTINGS])
 
     def test_unknown_mode(self, tmp_path):
         with pytest.raises(ValueError, match="unknown mode"):
@@ -234,6 +241,49 @@ class TestCorruptionNamesByteOrLine:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "byte " in err or "line " in err
+
+
+def split_sections(data, mode):
+    """A saved file as (lead bytes, [(section name, its bytes)]) in file order."""
+    if mode == "text":
+        chunks = re.split(rb"(?m)^(?=#SECTION )", data)[1:]
+        return b"", [(c.split(b"\n")[0].split()[1].decode(), c) for c in chunks]
+    off, out = 8, []
+    while off < len(data):
+        (nlen,) = struct.unpack_from("<I", data, off)
+        (plen,) = struct.unpack_from("<Q", data, off + 4 + nlen)
+        end = off + 12 + nlen + plen
+        out.append((data[off + 4:off + 4 + nlen].decode(), data[off:end]))
+        off = end
+    return data[:8], out
+
+
+# (section copied, where the copy goes: after the original or at the end of the file)
+SECTION_REPEATS = {"config-after-end": ("config", "end"),
+                   "repeated-config": ("config", "after"),
+                   "repeated-vocab": ("vocab", "after"),
+                   "repeated-array": ("array", "after")}
+
+
+@pytest.mark.parametrize("case", sorted(SECTION_REPEATS))
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_repeated_or_trailing_section_names_line_or_byte(tmp_path, mode, case):
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle_from_model(make_model("sg"), config={"seed": 0}), path, mode)
+    lead, sections = split_sections(path.read_bytes(), mode)
+    which, where = SECTION_REPEATS[case]
+    i = next(i for i, (name, _) in enumerate(sections) if name.startswith(which))
+    at = len(sections) if where == "end" else i + 1
+    sections.insert(at, sections[i])
+    before = lead + b"".join(raw for _, raw in sections[:at])
+    path.write_bytes(before + b"".join(raw for _, raw in sections[at:]))
+    name = "array:in_vec" if which == "array" else which
+    rule = (f"section {name!r} after end section" if where == "end"
+            else f"repeated section {name!r}")
+    place = (f"line {len(before.splitlines()) + 1}" if mode == "text"
+             else f"byte {len(before)}")
+    with pytest.raises(SerializationError, match=re.escape(f"{place}: {rule}")):
+        load_model(path)
 
 
 class TestVocabLines:
