@@ -87,22 +87,30 @@ def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
 
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
     """W2G energy over the last axis (higher = more similar) plus partials
-    w.r.t. (mu_a, lv_a, mu_b, lv_b), broadcasting with spherical (..., 1)
-    log-variances as gauss.kl_parts does."""
+    w.r.t. (mu_a, lv_a, lv_b), d/d mu_b being -d/d mu_a; log-variances broadcast
+    and spherical (..., 1) ones get folded partials, as in gauss.kl_parts.
+    A spherical pair's expected likelihood is -0.5 (d log(2 pi s) + q / s) with
+    q = sum dmu^2, whose lv partials come out folded: the same quantity with
+    one pass per coordinate fewer, summed in another order (a few ulps)."""
     if kind == "expected_likelihood":
-        va = np.exp(lv_a)
-        vb = np.exp(lv_b)
+        va, vb = np.exp(lv_a), np.exp(lv_b)
         s = va + vb
         dmu = mu_a - mu_b
-        val = -0.5 * np.sum(np.log(2.0 * np.pi * s) + dmu * dmu / s, axis=-1)
-        g_mu_a = -dmu / s
-        g_s = -0.5 * (1.0 / s - dmu * dmu / (s * s))
-        return val, (g_mu_a, fold(g_s * va, lv_a, dmu.shape[-1]), -g_mu_a,
-                     fold(g_s * vb, lv_b, dmu.shape[-1]))
+        sq = dmu * dmu
+        g_mu_a = dmu / -s
+        d = dmu.shape[-1]
+        if s.shape[-1] == 1:       # one variance for all d coordinates
+            q = sq.sum(axis=-1, keepdims=True)
+            g_s = -0.5 * (d / s - q / (s * s))
+            return -0.5 * (d * np.log(2.0 * np.pi * s) + q / s)[..., 0], (
+                g_mu_a, g_s * va, g_s * vb)
+        val = -0.5 * np.sum(np.log(2.0 * np.pi * s) + sq / s, axis=-1)
+        g_s = -0.5 * (1.0 / s - sq / (s * s))
+        return val, (g_mu_a, fold(g_s * va, lv_a, d), fold(g_s * vb, lv_b, d))
     if kind == "negated_kl":
         # -KL(b || a): the context density read from the word density
         val, g_mu1, g_lv1, g_lv2 = kl_parts(mu_b, lv_b, mu_a, lv_a)
-        return -val, (g_mu1, -g_lv2, -g_mu1, -g_lv1)
+        return -val, (g_mu1, -g_lv2, -g_lv1)
     raise ValueError(f"unknown energy kind {kind!r}")
 
 
@@ -112,10 +120,10 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
     pairs of each window of a padded batch, plus gradients."""
     mu_w = gather_rows(model.mean, centers)[:, None]      # B x 1 x d
     lv_w = gather_rows(model.log_var, centers)[:, None]
-    e_p, (ga_p, gla_p, gb_p, glb_p) = _energy_parts(
+    e_p, (gm_p, gla_p, glb_p) = _energy_parts(
         mu_w, lv_w, gather_rows(model.mean, pos), gather_rows(model.log_var, pos),
         model.energy_kind)
-    e_n, (ga_n, gla_n, gb_n, glb_n) = _energy_parts(
+    e_n, (gm_n, gla_n, glb_n) = _energy_parts(
         mu_w[:, None], lv_w[:, None], gather_rows(model.mean, neg),
         gather_rows(model.log_var, neg), model.energy_kind)
     arg = margin - e_p[:, None, :] + e_n                  # B x k x P
@@ -126,14 +134,13 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
         return BatchGrads(losses)
     a = active.astype(np.float64)[..., None]              # B x k x P x 1
     a_p = a.sum(axis=1)                                   # B x P x 1
+    m_p, m_n = a_p * gm_p, a * gm_n      # a context mean's partial is minus these
+    l_p, l_n = a_p * gla_p, a * gla_n
     ids = np.concatenate([centers, pos[mask], neg[neg_mask]])
-
-    def rows(g_a_p, g_b_p, g_a_n, g_b_n):
-        center = (a * g_a_n).sum(axis=(1, 2)) - (a_p * g_a_p).sum(axis=1)
-        return ids, np.concatenate([center, -(a_p * g_b_p)[mask], (a * g_b_n)[neg_mask]])
-
-    return BatchGrads(losses, {"mean": rows(ga_p, gb_p, ga_n, gb_n),
-                               "log_var": rows(gla_p, glb_p, gla_n, glb_n)})
+    mean = np.concatenate([m_n.sum(axis=(1, 2)) - m_p.sum(axis=1), m_p[mask], -m_n[neg_mask]])
+    lv = np.concatenate([l_n.sum(axis=(1, 2)) - l_p.sum(axis=1), -(a_p * glb_p)[mask],
+                         (a * glb_n)[neg_mask]])
+    return BatchGrads(losses, {"mean": (ids, mean), "log_var": (ids, lv)})
 
 
 def _row_norms(x):
@@ -146,13 +153,18 @@ def clip_params(model: W2gModel) -> W2gModel:
 
     Row norms are taken in float64 one block of rows at a time, and only the
     rows over the bound are rescaled: a row within it would be multiplied by
-    1.0, which leaves it as it is. A row that rounding leaves just over the
-    bound has its scale stepped down one ulp at a time until it is not.
+    1.0, which leaves it as it is. A block whose max |x| sqrt(d) (1 + 1e-6) is
+    within the bound, as no row norm there can exceed it, takes no norms (a NaN
+    fails the test). A row that rounding leaves just over the bound has its
+    scale stepped down one ulp at a time until it is not.
     """
     mean, bound = model.mean, model.max_mean_norm
     step = max(1, CHUNK // mean.shape[1])
+    limit = bound / (np.sqrt(mean.shape[1]) * (1.0 + 1e-6))
     for lo in range(0, len(mean), step):
         block = mean[lo:lo + step]
+        if -limit <= float(block.min()) and float(block.max()) <= limit:
+            continue
         norms = _row_norms(block)
         over = np.flatnonzero(norms > bound)
         if len(over):

@@ -185,11 +185,12 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
     else:                                              # sigmoid(arg), stably
         a = np.where(neg_mask, np.exp(arg - soft), 0.0)[..., None]
     a_p = a.sum(axis=1)                                # B x P x 1, per positive
-    d_mu = (a_p * gq_p).sum(axis=1) - (a * gq_n).sum(axis=(1, 2)) + gq_0
+    m_p, m_n = a_p * gq_p, a * gq_n                    # the ctx_mean rows reuse them
+    d_mu = m_p.sum(axis=1) - m_n.sum(axis=(1, 2)) + gq_0
     d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2)) + glq_0
     enc_dense, enc_rows = backward_batch(model.enc, acts, d_mu, d_lv)
     ctx_ids = np.concatenate([pos[mask], neg[neg_mask]])
-    ctx_mu = np.concatenate([-(a_p * gq_p)[mask], (a * gq_n)[neg_mask]])
+    ctx_mu = np.concatenate([-m_p[mask], m_n[neg_mask]])
     ctx_lv = np.concatenate([(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
     rows = {"prior_mean": (centers, -gq_0), "prior_log_var": (centers, glt_0),
             "ctx_mean": (ctx_ids, ctx_mu), "ctx_log_var": (ctx_ids, ctx_lv),

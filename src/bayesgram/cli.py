@@ -300,11 +300,13 @@ def _cmd_selftest(_args):
         q = Gaussian(rng.normal(size=d), rng.normal(scale=0.5, size=d))
         worst_kl = max(worst_kl, abs(kl_divergence(p, q)
                                      - oracles.kl_quadrature_oracle(p, q, 64)))
-    worst_grad = _selftest_gradcheck(rng)
+    worst_bsg, worst_w2g = (_selftest_gradcheck(rng, kind) for kind in ("bsg", "w2g"))
     checks = [
         (f"kl closed form vs quadrature: max |diff| = {worst_kl:.3g}", worst_kl <= 1e-6),
-        (f"window-loss gradient vs finite differences: max rel err = {worst_grad:.3g}",
-         worst_grad <= 1e-4)]
+        (f"window-loss gradient vs finite differences: max rel err = {worst_bsg:.3g}",
+         worst_bsg <= 1e-4),
+        (f"w2g window-loss gradient (4 variants) vs finite differences: max rel err = "
+         f"{worst_w2g:.3g}", worst_w2g <= 1e-4)]
     for line, passed in checks:
         print(("PASS " if passed else "FAIL ") + line)
     if not all(passed for _, passed in checks):
@@ -312,20 +314,26 @@ def _cmd_selftest(_args):
     print("selftest OK")
 
 
-def _selftest_gradcheck(rng):
-    """Worst finite-difference error of the kernel's B = 1 gradients, as trained."""
+def _selftest_gradcheck(rng, kind):
+    """Worst finite-difference error of ten kind models' B = 1 gradients, as trained."""
     vocab = Vocabulary([f"w{i}" for i in range(12)], np.arange(1, 13, dtype=np.int64))
     cfg = bsg.TrainConfig(dim=3, hidden_dim=4, margin=0.5, param_dtype="float64")
     worst = 0.0
-    for _ in range(10):
-        model = bsg.init_bsg_model(vocab, cfg, rng)
+    for i in range(10):
+        if kind == "bsg":
+            model = bsg.init_bsg_model(vocab, cfg, rng)
+            kernel = partial(bsg.batch_gradients, model, cfg=cfg)
+        else:        # "w2g": the four (cov_kind, energy_kind) variants in turn
+            model = baselines.init_w2g_model(
+                vocab, cfg, rng, ("spherical", "diagonal")[i % 2],
+                energy_kind=("expected_likelihood", "negated_kl")[i // 2 % 2])
+            kernel = partial(baselines.w2g_batch_gradients, model, margin=cfg.margin)
         params = model.param_arrays()
         for arr in params.values():
             arr += rng.normal(scale=0.1, size=arr.shape)
         batch = single_window(int(rng.integers(12)), list(rng.integers(0, 12, size=3)),
                               list(rng.integers(0, 12, size=3)))
-        worst = max(worst, oracles.kernel_gradcheck(
-            partial(bsg.batch_gradients, model, cfg=cfg), params, batch, 1e-6))
+        worst = max(worst, oracles.kernel_gradcheck(kernel, params, batch, 1e-6))
     return worst
 
 

@@ -54,13 +54,17 @@ class EncoderParams:
 
 
 def uniform_table(rng: np.random.Generator, bound: float, shape, dtype) -> np.ndarray:
-    """rng.uniform(-bound, bound, size=shape).astype(dtype), drawn CHUNK values
-    at a time: each value takes one draw of the generator, so the chunks
-    draw what one call would, without its float64 temporary of a whole table."""
+    """rng.uniform(-bound, bound, size=shape).astype(dtype), bit for bit: one
+    float64 scratch takes CHUNK of rng.random's draws at a time, which are the
+    ones rng.uniform scales, scaled in place by its own low + (high - low) * u."""
     out = np.empty(shape, dtype=dtype)
     flat = out.reshape(-1)
+    scratch = np.empty(min(CHUNK, flat.size))
     for lo in range(0, flat.size, CHUNK):
-        flat[lo:lo + CHUNK] = rng.uniform(-bound, bound, size=min(CHUNK, flat.size - lo))
+        u = rng.random(out=scratch[:min(CHUNK, flat.size - lo)])
+        u *= bound - -bound                  # high - low
+        u += -bound
+        flat[lo:lo + len(u)] = u
     return out
 
 

@@ -66,8 +66,9 @@ def _kl_terms(mu1, lv1, mu2, lv2):
     dmu = mu1 - mu2
     inv2 = np.exp(-lv2)
     ratio = np.exp(lv1 - lv2)
-    val = 0.5 * np.sum(ratio + dmu * dmu * inv2 - 1.0 + lv2 - lv1, axis=-1)
-    return val, dmu, inv2, ratio
+    mahal = dmu * dmu * inv2
+    val = 0.5 * np.sum(ratio + mahal - 1.0 + lv2 - lv1, axis=-1)
+    return val, dmu, inv2, ratio, mahal
 
 
 def kl_rows(mu1, lv1, mu2, lv2):
@@ -81,10 +82,10 @@ def kl_rows(mu1, lv1, mu2, lv2):
 def kl_parts(mu1, lv1, mu2, lv2):
     """kl_rows plus its partials (kl, d/d mu1, d/d lv1, d/d lv2); d/d mu2 is
     -d/d mu1, and a spherical log-variance's partial is folded (see fold)."""
-    val, dmu, inv2, ratio = _kl_terms(mu1, lv1, mu2, lv2)
+    val, dmu, inv2, ratio, mahal = _kl_terms(mu1, lv1, mu2, lv2)
     d = dmu.shape[-1]
     return (val, dmu * inv2, fold(0.5 * (ratio - 1.0), lv1, d),
-            fold(0.5 * (1.0 - ratio - dmu * dmu * inv2), lv2, d))
+            fold(0.5 * (1.0 - ratio - mahal), lv2, d))
 
 
 def fold(g, lv, d):

@@ -299,24 +299,30 @@ def _json_object(raw, start, what):
 def _assemble(sections):
     """The bundle of a model file's sections, given as (name, where, value) in
     file order, `where` naming the line or byte a section starts at. The rules
-    of both formats: a section appears at most once, none follows end, and
-    end, header and vocab are present."""
-    found = {}
+    of both formats: a section appears at most once, none follows end, end,
+    header and vocab are present, and the header's fields are well formed."""
+    found, at = {}, {}
     for name, where, value in sections:
         if "end" in found:
             raise SerializationError(f"{where}: section {name!r} after end section")
         if name in found:
             raise SerializationError(f"{where}: repeated section {name!r}")
-        found[name] = value
+        found[name], at[name] = value, where
     if "end" not in found:
         raise SerializationError("truncated file: missing end section")
-    header = found.get("header", {})
-    if "model_kind" not in header:
+    if "header" not in found:
         raise SerializationError("truncated file: missing header section")
-    version = int(header.get("format_version", -1))
+    header, where = found["header"], at["header"]
+    try:
+        version, dim = int(header["format_version"]), int(header["dim"])
+        kind, cov_kind = header["model_kind"], header["cov_kind"]
+    except (KeyError, ValueError) as e:     # a KeyError's text is the missing key
+        raise SerializationError(f"{where}: missing or malformed header field: {e}") from None
     if version != FORMAT_VERSION:
         raise SerializationError(
             f"unknown format version {version} (supported: {FORMAT_VERSION})")
+    if dim < 1:
+        raise SerializationError(f"{where}: header dim {dim} is not >= 1")
     words, counts = found.get("vocab", ([], []))
     if not words:
         raise SerializationError("truncated file: missing vocab section")
@@ -324,9 +330,7 @@ def _assemble(sections):
     vocab = Vocabulary(words, counts, subsample_t=cfg.get("subsample_t", 1e-4),
                        neg_table_exponent=cfg.get("neg_exponent", 1.0))
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
-    return ModelBundle(model_kind=header["model_kind"],
-                       cov_kind=header["cov_kind"],
-                       dim=int(header["dim"]),
+    return ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
                        vocab=vocab, arrays=arrays, config=cfg)
 
 

@@ -122,9 +122,29 @@ class TestW2gEnergy:
             mu_a, mu_b = rng.normal(size=2), rng.normal(size=2)
             lv_a, lv_b = rng.normal(size=2), rng.normal(size=2)
             params = dict(mu_a=mu_a, lv_a=lv_a, mu_b=mu_b, lv_b=lv_b)
-            grads = dict(zip(params, pair_energy(*params.values(), kind)[1]))
+            grads = dict(zip(("mu_a", "lv_a", "lv_b"), pair_energy(*params.values(), kind)[1]))
+            grads["mu_b"] = -grads["mu_a"]
             assert oracles.gradcheck(lambda: pair_energy(*params.values(), kind)[0],
                                      params, grads, 1e-6) <= 1e-4
+
+    @pytest.mark.parametrize("d", [1, 2, 100])
+    def test_spherical_expected_likelihood_is_the_diagonal_formula(self, d):
+        # a (..., 1) log-variance against the diagonal formula on it broadcast to
+        # (..., d): the spherical path sums dmu^2 first, so values and lv partials
+        # agree to rounding, and the mean partials bit for bit
+        rng = np.random.default_rng(d)
+        mu_a, mu_b = rng.normal(scale=0.5, size=(7, 1, d)), rng.normal(scale=0.5, size=(7, 5, d))
+        lv_a, lv_b = rng.normal(scale=0.3, size=(7, 1, 1)), rng.normal(scale=0.3, size=(7, 5, 1))
+        val, (g_mu, g_lva, g_lvb) = _energy_parts(mu_a, lv_a, mu_b, lv_b, "expected_likelihood")
+        wide = [np.broadcast_to(lv, lv.shape[:-1] + (d,)).copy() for lv in (lv_a, lv_b)]
+        val_d, (g_mu_d, g_lva_d, g_lvb_d) = _energy_parts(mu_a, wide[0], mu_b, wide[1],
+                                                          "expected_likelihood")
+        assert val.shape == val_d.shape == (7, 5)
+        assert g_mu.tobytes() == g_mu_d.tobytes()
+        np.testing.assert_allclose(val, val_d, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g_lva, g_lva_d.sum(axis=-1, keepdims=True), rtol=1e-13, atol=0)
+        np.testing.assert_allclose(g_lvb, g_lvb_d.sum(axis=-1, keepdims=True), rtol=1e-13, atol=0)
+        assert g_lva.shape == g_lvb.shape == (7, 5, 1)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown energy"):
@@ -226,6 +246,56 @@ class TestClipParams:
         clip_params(m)
         assert m.log_var.dtype == np.float32
         assert m.log_var.tobytes() == expect.tobytes()
+
+    def test_rows_near_the_bound_that_a_block_screen_passes_on_are_unchanged(self):
+        # norm just under the bound, but max |x| sqrt(d) over it: the block
+        # cannot be skipped, and its rows must come through as they were
+        d = 4
+        m = w2g_model(V=6, d=d)
+        m.mean = np.zeros((6, d), dtype=np.float32)
+        m.max_mean_norm = 2.0
+        m.mean[0, 0] = np.float32(2.0) * np.float32(1 - 1e-6)
+        m.mean[1] = np.float32(0.999999)         # norm 1.999998, max |x| sqrt(d) the same
+        m.mean[2, 1] = -np.float32(2.0)          # norm exactly at the bound
+        m.mean[3, :2] = np.float32(1.4142)
+        assert (np.abs(m.mean).max(axis=1) * np.sqrt(d) > 2.0)[[0, 2, 3]].all()
+        assert (np.linalg.norm(m.mean.astype(np.float64), axis=1) <= 2.0).all()
+        mean0 = m.mean.copy()
+        clip_params(m)
+        assert m.mean.tobytes() == mean0.tobytes()
+
+    def test_nan_row_block_is_normed_as_before(self, monkeypatch):
+        # a NaN fails the block screen, so its block takes row norms: the NaN
+        # row is left as it is and a row over the bound is still projected
+        calls = []
+        monkeypatch.setattr(baselines, "_row_norms",
+                            lambda x: calls.append(len(x)) or np.linalg.norm(
+                                np.asarray(x, dtype=np.float64), axis=1))
+        d = 4
+        block = CHUNK // d
+        m = w2g_model(V=2 * block, d=d, rng=np.random.default_rng(5))
+        m.mean = (m.mean * 0.01).astype(np.float32)
+        m.max_mean_norm = 2.0
+        m.mean[3] = np.nan
+        m.mean[7] = [3.0, 0.0, 0.0, 0.0]
+        mean0 = m.mean.copy()
+        clip_params(m)
+        assert calls[0] == block and calls.count(block) == 1   # none for the second block
+        assert m.mean[3].tobytes() == mean0[3].tobytes()
+        assert np.linalg.norm(m.mean[7].astype(np.float64)) == pytest.approx(2.0, rel=1e-6)
+        keep = np.ones(len(m.mean), bool)
+        keep[7] = False
+        assert m.mean[keep].tobytes() == mean0[keep].tobytes()
+
+    def test_init_scale_table_takes_no_row_norms(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(baselines, "_row_norms", lambda x: calls.append(len(x)))
+        vocab = tiny_vocab(50_000)
+        m = init_w2g_model(vocab, TrainConfig(dim=100), np.random.default_rng(0), "spherical")
+        mean0 = m.mean.copy()
+        clip_params(m)
+        assert calls == []
+        assert m.mean.tobytes() == mean0.tobytes()
 
     def test_idempotent(self):
         for seed in range(20):     # 11 of these seeds failed a one-rescale projection

@@ -215,7 +215,7 @@ class TestSelftest:
         assert main(["selftest"]) == 0
         out = capsys.readouterr().out
         assert "selftest OK" in out
-        assert out.count("PASS") == 2
+        assert out.count("PASS") == 3
 
 
 @pytest.fixture(scope="module")

@@ -45,6 +45,16 @@ class TestInit:
         assert table.tobytes() == expected.tobytes()
         assert a.random(5).tobytes() == b.random(5).tobytes()
 
+    @pytest.mark.parametrize("size", [0, 1, CHUNK - 1, CHUNK, CHUNK + 1])
+    def test_uniform_table_sizes_around_a_chunk(self, size):
+        # the scratch buffer is sized by the first chunk and sliced for the last
+        a, b = np.random.default_rng(9), np.random.default_rng(9)
+        table = uniform_table(a, 0.5, (size, 1), np.float32)
+        expected = b.uniform(-0.5, 0.5, size=(size, 1)).astype(np.float32)
+        assert table.shape == (size, 1)
+        assert table.tobytes() == expected.tobytes()
+        assert a.random(3).tobytes() == b.random(3).tobytes()
+
     def test_encoder_dtype_casts_the_float64_draws(self):
         enc64 = init_encoder(CHUNK // 3 + 1, 3, 4, "diagonal", np.random.default_rng(1))
         enc32 = init_encoder(CHUNK // 3 + 1, 3, 4, "diagonal", np.random.default_rng(1),

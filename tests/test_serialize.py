@@ -286,6 +286,53 @@ def test_repeated_or_trailing_section_names_line_or_byte(tmp_path, mode, case):
         load_model(path)
 
 
+# header field -> (its new value, or None to drop it; the error after the place)
+HEADER_FAULTS = {"no-model_kind": ("model_kind", None, "header field: 'model_kind'"),
+                 "no-cov_kind": ("cov_kind", None, "header field: 'cov_kind'"),
+                 "no-dim": ("dim", None, "header field: 'dim'"),
+                 "dim-not-a-number": ("dim", "x", "header field: invalid literal"),
+                 "dim-fraction": ("dim", "2.5", "header field: invalid literal"),
+                 "dim-zero": ("dim", "0", "header dim 0 is not >= 1")}
+
+
+def header_section(header, mode):
+    """The bytes of a header section holding the str -> str dict header."""
+    if mode == "text":
+        return ("#SECTION header\n" + "".join(f"{k}\t{v}\n" for k, v in header.items())).encode()
+    payload = json.dumps(header).encode()
+    return struct.pack("<I", 6) + b"header" + struct.pack("<Q", len(payload)) + payload
+
+
+@pytest.mark.parametrize("case", sorted(HEADER_FAULTS))
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_bad_header_field_names_line_or_byte(tmp_path, mode, case, capsys):
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle_from_model(make_model("sg")), path, mode)
+    lead, sections = split_sections(path.read_bytes(), mode)
+    assert sections[0][0] == "header"
+
+    def write(header):
+        path.write_bytes(lead + header_section(header, mode)
+                         + b"".join(raw for _, raw in sections[1:]))
+
+    header = {"format_version": "1", "model_kind": "sg", "cov_kind": "none", "dim": "3"}
+    write(header)
+    assert load_model(path).dim == 3       # the rebuilt header alone loads
+    key, value, message = HEADER_FAULTS[case]
+    if value is None:
+        del header[key]
+    else:
+        header[key] = value
+    write(header)
+    place = "line 1" if mode == "text" else "byte 8"
+    with pytest.raises(SerializationError, match=re.escape(f"{place}: ") + ".*"
+                       + re.escape(message)):
+        load_model(path)
+    assert main(["nearest", str(path), "w0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {place}: ") and err.count("\n") == 1
+
+
 class TestVocabLines:
     @pytest.mark.parametrize("word", LINE_BREAKING_WORDS)
     @pytest.mark.parametrize("mode", ["text", "binary"])
