@@ -56,6 +56,8 @@ class TrainConfig:
             raise ValueError("dim/window must be >= 1 and epochs >= 0")
         if self.margin < 0:
             raise ValueError("margin must be >= 0")
+        if self.batch_size < 1 or self.hidden_dim < 0:
+            raise ValueError("batch_size must be >= 1 and hidden_dim >= 0")
         if self.objective not in ("hinge", "soft"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.cov_kind not in ("spherical", "diagonal"):
@@ -277,8 +279,11 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     the pipeline is a single sequential pass. Telemetry CSV goes to log_path
     or $BSG_LOG. Returns the number of steps taken. The stream subsamples and
     draws negatives by the vocabulary's settings, so a cfg.subsample_t or
-    cfg.neg_exponent that differs from them raises ValueError.
+    cfg.neg_exponent that differs from them raises ValueError, as does an lr
+    that is not finite and > 0.
     """
+    if not (lr > 0 and np.isfinite(lr)):
+        raise ValueError(f"learning rate must be finite and > 0, got {lr}")
     if (cfg.subsample_t, cfg.neg_exponent) != (vocab.subsample_t, vocab.neg_table_exponent):
         raise ValueError(f"config subsample_t={cfg.subsample_t}, neg_exponent="
                          f"{cfg.neg_exponent} disagree with the vocabulary's subsample_t="

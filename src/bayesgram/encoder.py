@@ -6,6 +6,10 @@ center word's, pushed through one ReLU layer, and the results are summed
 on top of the sum produce the posterior mean and log-variance. The
 log-variance head has a single output row for spherical posteriors and d
 rows for diagonal ones.
+
+encode_batch is the one forward pass, over a padded batch whose mask marks
+the real contexts (mask None: all of them are real); infer_posterior and
+encoder_backward run it on a batch of one window.
 """
 
 from dataclasses import dataclass
@@ -88,42 +92,35 @@ def init_encoder(vocab_size: int, d: int, d_h: int, cov_kind: str,
     )
 
 
-def _forward(center, contexts, params):
-    R = params.R
-    ctx = np.asarray(contexts, dtype=np.intp)
-    X = np.concatenate([R[ctx], np.broadcast_to(R[center], (len(ctx), params.dim))],
-                       axis=1)                       # C x 2d
-    A = X @ params.M.T                               # C x d_h, pre-activation
-    h = np.maximum(A, 0.0).sum(axis=0)               # d_h
-    mu = params.U @ h + params.b1
-    lv = params.W @ h + params.b2
-    return X, A, h, mu, lv
-
-
 def infer_posterior(center, contexts, params: EncoderParams) -> Gaussian:
-    """Posterior Gaussian for one occurrence of `center` amid `contexts`."""
+    """Posterior Gaussian for one occurrence of `center` amid `contexts`:
+    encode_batch on a batch of that one window."""
     if len(contexts) == 0:
         raise ValueError("posterior undefined without context")
-    _, _, _, mu, lv = _forward(center, contexts, params)
-    if lv.shape[0] == 1:
-        return Gaussian(mu, np.float64(lv[0]))
-    return Gaussian(mu, lv)
+    _, mu, lv = encode_batch(np.array([center]), np.array([contexts], dtype=np.intp),
+                             None, params)
+    return Gaussian(mu[0], lv[0, 0] if lv.shape[1] == 1 else lv[0])
 
 
 def encode_batch(centers, contexts, mask, params: EncoderParams):
     """Posteriors of a padded batch: centers (B,), contexts and mask (B, P).
 
-    Runs in the parameters' storage dtype, as infer_posterior does. Returns
-    the activations backward_batch needs, mu (B, d) and log-variance (B, 1 or
-    d), the last two in float64.
+    mask None means every context is real; backward_batch reads the mask, so
+    a batch to be differentiated passes one. Runs in the parameters' storage
+    dtype. Returns the activations backward_batch needs, mu (B, d) and
+    log-variance (B, 1 or d), the last two in float64.
     """
-    R = params.R
-    center = np.broadcast_to(R[centers][:, None, :], contexts.shape + (params.dim,))
-    X = np.concatenate([R[contexts], center], axis=2)    # B x P x 2d
-    A = (X.reshape(-1, 2 * params.dim) @ params.M.T).reshape(
+    R, d = params.R, params.dim
+    X = np.empty(contexts.shape + (2 * d,), dtype=R.dtype)   # B x P x 2d
+    X[..., :d] = R[contexts]
+    X[..., d:] = R[centers][:, None, :]
+    A = (X.reshape(-1, 2 * d) @ params.M.T).reshape(
         contexts.shape + (params.hidden_dim,))          # pre-activation
-    h = (np.maximum(A, 0.0) * mask[..., None]).sum(axis=1)   # B x d_h
-    # one matrix-vector product per window, rounded as infer_posterior's
+    relu = np.maximum(A, 0.0)
+    if mask is not None:
+        relu *= mask[..., None]
+    h = relu.sum(axis=1)                                 # B x d_h
+    # one matrix-vector product per window
     mu = np.matmul(params.U, h[:, :, None])[..., 0] + params.b1
     lv = np.matmul(params.W, h[:, :, None])[..., 0] + params.b2
     acts = (centers, contexts, mask, X, A, h)

@@ -8,8 +8,9 @@ A model file is one ordered list of named sections: header, config, vocab,
 * binary: magic `BSG1`, little-endian, length-prefixed sections, exact.
 
 Each reader frames and decodes its sections, naming the line or byte of a
-fault; `_assemble` holds the section rules both formats share. A bundle carries the vocabulary, all parameter arrays of one model kind
-(bsg, sg, or w2g), and a snapshot of the training configuration.
+fault; `_assemble` holds the section rules both formats share. A bundle
+carries the vocabulary, all parameter arrays of one model kind (bsg, sg,
+or w2g), and a snapshot of the training configuration.
 """
 
 import json
@@ -38,6 +39,11 @@ REQUIRED_ARRAYS = {
     "sg": ["in_vec", "out_vec"],
     "w2g": ["mean", "log_var"],
 }
+
+
+# (config key, default, what it must be, test) of the settings a vocabulary reads
+CONFIG_NUMBERS = [("subsample_t", 1e-4, "a number > 0", lambda t: t > 0),
+                  ("neg_exponent", 1.0, "a finite number", math.isfinite)]
 
 
 class SerializationError(Exception):
@@ -326,9 +332,24 @@ def _assemble(sections):
     words, counts = found.get("vocab", ([], []))
     if not words:
         raise SerializationError("truncated file: missing vocab section")
-    cfg = found.get("config") or {}      # null reads as {}
-    vocab = Vocabulary(words, counts, subsample_t=cfg.get("subsample_t", 1e-4),
-                       neg_table_exponent=cfg.get("neg_exponent", 1.0))
+    cfg = found.get("config")
+    if cfg is None:                      # absent or null reads as {}
+        cfg = {}
+    elif not isinstance(cfg, dict):
+        raise SerializationError(f"{at['config']}: config JSON is not an object")
+    settings = {}
+    for key, default, need, ok in CONFIG_NUMBERS:
+        value = cfg.get(key, default)
+        try:                             # a bool is not a number
+            good = type(value) in (int, float) and ok(float(value))
+        except OverflowError:            # an int beyond the float range
+            good = False
+        if not good:
+            raise SerializationError(f"{at['config']}: config {key} must be {need}, "
+                                     f"got {value!r}")
+        settings[key] = value
+    vocab = Vocabulary(words, counts, subsample_t=settings["subsample_t"],
+                       neg_table_exponent=settings["neg_exponent"])
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
     return ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
                        vocab=vocab, arrays=arrays, config=cfg)

@@ -378,6 +378,13 @@ class TestTrainBaseline:
         steps = len(log.read_text().splitlines()) - 1
         assert steps > 2 and len(calls) == steps
 
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    @pytest.mark.parametrize("kind", ["sg", "w2g_s", "w2g_d"])
+    def test_learning_rate_not_finite_and_positive_rejected(self, corpus, kind, lr):
+        path, vocab = corpus
+        with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+            train_baseline(kind, path, vocab, self.cfg(), learning_rate=lr)
+
     def test_unknown_kind(self, corpus):
         path, vocab = corpus
         with pytest.raises(ValueError, match="unknown baseline"):

@@ -319,6 +319,19 @@ class TestTrain:
                                "vocabulary's subsample_t=0.01, neg_table_exponent=1.0"):
                 train(path, vocab, cfg)
 
+    @pytest.mark.parametrize("kw", [dict(batch_size=0), dict(batch_size=-5),
+                                    dict(hidden_dim=-3)])
+    def test_out_of_range_setting_rejected(self, kw):
+        with pytest.raises(ValueError, match="batch_size must be >= 1 and hidden_dim >= 0"):
+            TrainConfig(dim=3, **kw)
+
+    @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
+    def test_learning_rate_not_finite_and_positive_rejected(self, tmp_path, lr):
+        path = write_corpus(tmp_path, oracles.polysemy_spec(tokens_per_doc=50, n_docs=1))
+        vocab = build_vocabulary(iter_documents(path), 100, 1)
+        with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+            train(path, vocab, TrainConfig(dim=3, window=2, learning_rate=lr))
+
     def test_telemetry_csv(self, tmp_path):
         spec = oracles.polysemy_spec(tokens_per_doc=200, n_docs=2)
         path = write_corpus(tmp_path, spec)

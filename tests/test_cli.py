@@ -85,6 +85,27 @@ class TestTrain:
         assert captured.err == f"error: subsampling t must be > 0, got {float(t)}\n"
         assert captured.out == "" and not (tmp_path / "m.bin").exists()
 
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--lr", "nan", "learning rate must be finite and > 0, got nan"),
+        ("--lr", "inf", "learning rate must be finite and > 0, got inf"),
+        ("--lr", "-1", "learning rate must be finite and > 0, got -1.0"),
+        ("--lr", "0", "learning rate must be finite and > 0, got 0.0"),
+        ("--batch-size", "0", "batch_size must be >= 1 and hidden_dim >= 0"),
+        ("--batch-size", "-5", "batch_size must be >= 1 and hidden_dim >= 0"),
+        ("--hidden-dim", "-3", "batch_size must be >= 1 and hidden_dim >= 0")])
+    @pytest.mark.parametrize("kind", ["bsg", "sg", "w2g_s"])
+    def test_out_of_range_setting(self, workdir, tmp_path, capsys, kind, flag, value,
+                                  message):
+        # one batch holds the whole corpus, so a bad rate would take one step and save
+        out = tmp_path / "m.bin"
+        assert main(["train", str(workdir / "corpus.txt"), "--out", str(out),
+                     "--model", kind, "--dim", "3", "--window", "2",
+                     "--batch-size", "100000", "--subsample-t", "0.01",
+                     flag, value]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert captured.out == "" and not out.exists()
+
     def test_telemetry_log(self, workdir, tmp_path):
         log = tmp_path / "log.csv"
         assert main(["train", str(workdir / "corpus.txt"),

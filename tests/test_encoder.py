@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from bayesgram.bsg import BatchGrads
-from bayesgram.encoder import (EncoderParams, encoder_backward, infer_posterior,
-                               init_encoder, uniform_table)
+from bayesgram.encoder import (EncoderParams, encode_batch, encoder_backward,
+                               infer_posterior, init_encoder, uniform_table)
 from bayesgram.optim import CHUNK
 from bayesgram.oracles import gradcheck
 
@@ -25,8 +25,9 @@ def zero_encoder(V=5, d=2, d_h=3, cov_kind="spherical"):
                          W=np.zeros((k, d_h)), b2=np.zeros(k))
 
 
-def random_encoder(rng, V=6, d=3, d_h=4, cov_kind="spherical", scale=0.5):
-    enc = init_encoder(V, d, d_h, cov_kind, rng)
+def random_encoder(rng, V=6, d=3, d_h=4, cov_kind="spherical", scale=0.5,
+                   dtype=np.float64):
+    enc = init_encoder(V, d, d_h, cov_kind, rng, dtype)
     for name in ("R", "M", "U", "b1", "W", "b2"):
         arr = getattr(enc, name)
         arr += rng.normal(scale=scale, size=arr.shape)
@@ -127,6 +128,65 @@ class TestInferPosterior:
         g = infer_posterior(0, [1, 2], enc)
         assert g.cov_kind == "diagonal"
         assert g.log_var.shape == (3,)
+
+
+def padded_batch(rng, V, w, n_rows):
+    """centers (B,), contexts and mask (B, 2w): row b has 1 + b % 2w real
+    contexts at scattered positions, repeats among them, random padding ids."""
+    P = 2 * w
+    contexts = rng.integers(0, V, size=(n_rows, P))
+    contexts[:, 1] = contexts[:, 0]
+    mask = np.zeros((n_rows, P), bool)
+    for b in range(n_rows):
+        mask[b, rng.choice(P, size=1 + b % P, replace=False)] = True
+    return rng.integers(0, V, size=n_rows), contexts, mask
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+class TestOneForward:
+    """infer_posterior is encode_batch on a batch of one window."""
+
+    def test_infer_posterior_is_a_batch_of_one(self, cov_kind, dtype):
+        rng = np.random.default_rng(10)
+        enc = random_encoder(rng, V=9, d=5, d_h=7, cov_kind=cov_kind, dtype=dtype)
+        for length in range(1, 7):
+            contexts = rng.integers(0, 9, size=length)
+            contexts[-1] = contexts[0]
+            g = infer_posterior(3, list(contexts), enc)
+            for mask in (None, np.ones((1, length), bool)):
+                _, mu, lv = encode_batch(np.array([3]), contexts[None], mask, enc)
+                assert g.mean.tobytes() == mu[0].tobytes()
+                lv_row = lv[0, 0] if cov_kind == "spherical" else lv[0]
+                assert g.log_var.shape == np.shape(lv_row)
+                assert g.log_var.tobytes() == np.asarray(lv_row).tobytes()
+
+    def test_mask_none_is_an_all_true_mask(self, cov_kind, dtype):
+        rng = np.random.default_rng(11)
+        enc = random_encoder(rng, V=20, d=4, d_h=6, cov_kind=cov_kind, dtype=dtype)
+        centers, contexts, _ = padded_batch(rng, 20, 3, 30)
+        every = encode_batch(centers, contexts, np.ones(contexts.shape, bool), enc)
+        none = encode_batch(centers, contexts, None, enc)
+        for a, b in zip(every[0][3:] + every[1:], none[0][3:] + none[1:]):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+    def test_padding_contributes_nothing(self, cov_kind, dtype):
+        rng = np.random.default_rng(12)
+        enc = random_encoder(rng, V=20, d=4, d_h=6, cov_kind=cov_kind, dtype=dtype)
+        centers, contexts, mask = padded_batch(rng, 20, 3, 30)
+        _, mu, lv = encode_batch(centers, contexts, mask, enc)
+        repadded = np.where(mask, contexts, rng.integers(0, 20, size=contexts.shape))
+        _, mu2, lv2 = encode_batch(centers, repadded, mask, enc)
+        assert mu.tobytes() == mu2.tobytes() and lv.tobytes() == lv2.tobytes()
+        # each row is its unpadded window's posterior; the hidden-layer gemm is
+        # not bit for bit, as BLAS picks its kernel, and so its summation
+        # order, by the number of rows
+        eps = np.finfo(dtype).eps
+        for b in range(len(centers)):
+            g = infer_posterior(centers[b], contexts[b][mask[b]], enc)
+            assert np.abs(g.mean - mu[b]).max() <= 16 * eps * np.abs(mu).max()
+            assert (np.abs(g.log_var_vector() - lv[b]).max()
+                    <= 16 * eps * np.abs(lv).max())
 
 
 class TestEncoderBackward:

@@ -58,3 +58,29 @@ def test_no_unused_import(name):
                 if name != "__init__" else bayesgram.__all__)
     assert [bound for bound, _, _, lineno in imported_names(tree)
             if bound not in used and "# noqa" not in lines[lineno - 1]] == []
+
+
+def module_level_names(node):
+    """The names a module-level statement defines."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, ast.AnnAssign) else [])
+    return [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+
+
+@pytest.mark.parametrize("name", sorted(SOURCES))
+def test_no_unreferenced_private_helper(name):
+    """Every private module-level function, class or constant is used in its
+    module outside its own definition, so a deleted caller leaves no orphan."""
+    body = ast.parse(SOURCES[name].read_text(encoding="utf-8")).body
+    orphans = []
+    for i, node in enumerate(body):
+        for defined in module_level_names(node):
+            if not defined.startswith("_") or defined.startswith("__"):
+                continue
+            elsewhere = {n.id for other in body[:i] + body[i + 1:]
+                         for n in ast.walk(other) if isinstance(n, ast.Name)}
+            if defined not in elsewhere:
+                orphans.append(defined)
+    assert orphans == []

@@ -333,6 +333,71 @@ def test_bad_header_field_names_line_or_byte(tmp_path, mode, case, capsys):
     assert err.startswith(f"error: {place}: ") and err.count("\n") == 1
 
 
+# config section JSON -> the error after the place
+CONFIG_FAULTS = {"list": ([1, 2], "config JSON is not an object"),
+                 "string": ("str", "config JSON is not an object"),
+                 "empty-list": ([], "config JSON is not an object"),
+                 **{f"{key}-{name}": ({key: value}, f"config {key} must be a")
+                    for key in ("subsample_t", "neg_exponent")
+                    for name, value in (("string", "x"), ("null", None), ("list", [1]),
+                                        ("bool", True), ("huge-int", 10 ** 400))},
+                 "subsample_t-negative": ({"subsample_t": -1}, "config subsample_t must be a"
+                                          " number > 0, got -1"),
+                 "subsample_t-zero": ({"subsample_t": 0}, "config subsample_t must be a"),
+                 "subsample_t-nan": ({"subsample_t": float("nan")}, "config subsample_t must be a"
+                                     " number > 0, got nan"),
+                 "neg_exponent-inf": ({"neg_exponent": float("inf")},
+                                      "config neg_exponent must be a finite number, got inf")}
+
+
+def config_section(config, mode):
+    """The bytes of a config section holding the JSON value config."""
+    if mode == "text":
+        return f"#SECTION config\n{json.dumps(config)}\n".encode()
+    payload = json.dumps(config).encode()
+    return struct.pack("<I", 6) + b"config" + struct.pack("<Q", len(payload)) + payload
+
+
+def write_config(path, mode, config):
+    """Rewrite the saved model at path with config as its config section;
+    returns the place its error names."""
+    lead, sections = split_sections(path.read_bytes(), mode)
+    i = [name for name, _ in sections].index("config")
+    before = lead + b"".join(raw for _, raw in sections[:i])
+    path.write_bytes(before + config_section(config, mode)
+                     + b"".join(raw for _, raw in sections[i + 1:]))
+    return (f"line {len(before.splitlines()) + 1}" if mode == "text"
+            else f"byte {len(before)}")
+
+
+@pytest.mark.parametrize("case", sorted(CONFIG_FAULTS))
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_bad_config_names_line_or_byte(tmp_path, mode, case, capsys):
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle_from_model(make_model("sg")), path, mode)
+    config, message = CONFIG_FAULTS[case]
+    place = write_config(path, mode, config)
+    with pytest.raises(SerializationError, match=re.escape(f"{place}: {message}")):
+        load_model(path)
+    assert main(["nearest", str(path), "w0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {place}: {message}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("config", [{}, {"subsample_t": 0.5, "neg_exponent": -1},
+                                    {"subsample_t": 2, "neg_exponent": 0}])
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_good_config_loads(tmp_path, mode, config):
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle_from_model(make_model("sg")), path, mode)
+    write_config(path, mode, config)
+    bundle = load_model(path)
+    assert bundle.config == config
+    expected = {"subsample_t": 1e-4, "neg_exponent": 1.0, **config}
+    assert (bundle.vocab.subsample_t, bundle.vocab.neg_table_exponent) == (
+        expected["subsample_t"], expected["neg_exponent"])
+
+
 class TestVocabLines:
     @pytest.mark.parametrize("word", LINE_BREAKING_WORDS)
     @pytest.mark.parametrize("mode", ["text", "binary"])
