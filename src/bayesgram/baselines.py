@@ -12,7 +12,8 @@ from functools import partial
 
 import numpy as np
 
-from .bsg import BatchGrads, TrainConfig, gather_rows, init_rng, run_training_loop
+from .bsg import (BatchGrads, TrainConfig, gather_rows, init_rng, margin_pairs,
+                  run_training_loop)
 from .corpus import Vocabulary
 from .encoder import uniform_table
 from .gauss import fold, kl_parts
@@ -86,9 +87,9 @@ def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
 
 
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
-    """W2G energy over the last axis (higher = more similar) plus partials
-    w.r.t. (mu_a, lv_a, lv_b), d/d mu_b being -d/d mu_a; log-variances broadcast
-    and spherical (..., 1) ones get folded partials, as in gauss.kl_parts.
+    """Minus the W2G energy over the last axis (a distance: lower = more similar)
+    and its partials, as gauss.kl_parts returns them: (D, d/d mu_a, d/d lv_a,
+    d/d lv_b), d/d mu_b being -d/d mu_a, spherical (..., 1) partials folded.
     A spherical pair's expected likelihood is -0.5 (d log(2 pi s) + q / s) with
     q = sum dmu^2, whose lv partials come out folded: the same quantity with
     one pass per coordinate fewer, summed in another order (a few ulps)."""
@@ -97,50 +98,37 @@ def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
         s = va + vb
         dmu = mu_a - mu_b
         sq = dmu * dmu
-        g_mu_a = dmu / -s
+        g_mu_a = dmu / s
         d = dmu.shape[-1]
         if s.shape[-1] == 1:       # one variance for all d coordinates
             q = sq.sum(axis=-1, keepdims=True)
-            g_s = -0.5 * (d / s - q / (s * s))
-            return -0.5 * (d * np.log(2.0 * np.pi * s) + q / s)[..., 0], (
-                g_mu_a, g_s * va, g_s * vb)
-        val = -0.5 * np.sum(np.log(2.0 * np.pi * s) + sq / s, axis=-1)
-        g_s = -0.5 * (1.0 / s - sq / (s * s))
-        return val, (g_mu_a, fold(g_s * va, lv_a, d), fold(g_s * vb, lv_b, d))
+            g_s = 0.5 * (d / s - q / (s * s))
+            return (0.5 * (d * np.log(2.0 * np.pi * s) + q / s)[..., 0], g_mu_a,
+                    g_s * va, g_s * vb)
+        g_s = 0.5 * (1.0 / s - sq / (s * s))
+        return (0.5 * np.sum(np.log(2.0 * np.pi * s) + sq / s, axis=-1), g_mu_a,
+                fold(g_s * va, lv_a, d), fold(g_s * vb, lv_b, d))
     if kind == "negated_kl":
-        # -KL(b || a): the context density read from the word density
+        # KL(b || a): the context density read from the word density
         val, g_mu1, g_lv1, g_lv2 = kl_parts(mu_b, lv_b, mu_a, lv_a)
-        return -val, (g_mu1, -g_lv2, -g_lv1)
+        return val, -g_mu1, g_lv2, g_lv1
     raise ValueError(f"unknown energy kind {kind!r}")
 
 
 def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
                         want_grads: bool = True) -> BatchGrads:
-    """Losses max(0, margin - E(center, pos) + E(center, neg)) summed over the
-    pairs of each window of a padded batch, plus gradients."""
-    mu_w = gather_rows(model.mean, centers)[:, None]      # B x 1 x d
-    lv_w = gather_rows(model.log_var, centers)[:, None]
-    e_p, (gm_p, gla_p, glb_p) = _energy_parts(
-        mu_w, lv_w, gather_rows(model.mean, pos), gather_rows(model.log_var, pos),
-        model.energy_kind)
-    e_n, (gm_n, gla_n, glb_n) = _energy_parts(
-        mu_w[:, None], lv_w[:, None], gather_rows(model.mean, neg),
-        gather_rows(model.log_var, neg), model.energy_kind)
-    arg = margin - e_p[:, None, :] + e_n                  # B x k x P
-    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
-    active = (arg > 0.0) & neg_mask
-    losses = np.sum(np.where(active, arg, 0.0), axis=(1, 2))
+    """Losses of a padded batch, bsg.margin_pairs's hinge with the center word's
+    own density as the query and minus the energy as D, plus gradients."""
+    mu_w, lv_w = gather_rows(model.mean, centers), gather_rows(model.log_var, centers)
+    losses, grads = margin_pairs(mu_w, lv_w, model.mean, model.log_var, pos, neg, mask, margin,
+                                 partial(_energy_parts, kind=model.energy_kind), "hinge",
+                                 want_grads)
     if not want_grads:
         return BatchGrads(losses)
-    a = active.astype(np.float64)[..., None]              # B x k x P x 1
-    a_p = a.sum(axis=1)                                   # B x P x 1
-    m_p, m_n = a_p * gm_p, a * gm_n      # a context mean's partial is minus these
-    l_p, l_n = a_p * gla_p, a * gla_n
-    ids = np.concatenate([centers, pos[mask], neg[neg_mask]])
-    mean = np.concatenate([m_n.sum(axis=(1, 2)) - m_p.sum(axis=1), m_p[mask], -m_n[neg_mask]])
-    lv = np.concatenate([l_n.sum(axis=(1, 2)) - l_p.sum(axis=1), -(a_p * glb_p)[mask],
-                         (a * glb_n)[neg_mask]])
-    return BatchGrads(losses, {"mean": (ids, mean), "log_var": (ids, lv)})
+    d_mu, d_lv, ids, mean, lv = grads
+    ids = np.concatenate([centers, *ids])
+    return BatchGrads(losses, {"mean": (ids, np.concatenate([d_mu, *mean])),
+                               "log_var": (ids, np.concatenate([d_lv, *lv]))})
 
 
 def _row_norms(x):

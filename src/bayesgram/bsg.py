@@ -26,8 +26,8 @@ from .gauss import Gaussian, kl_divergence, kl_parts, log_density_rows
 from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
-           "init_bsg_model", "reparameterize", "gather_rows", "batch_gradients",
-           "elbo_estimate", "train"]
+           "init_bsg_model", "reparameterize", "gather_rows", "margin_pairs",
+           "batch_gradients", "elbo_estimate", "train"]
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -152,51 +152,61 @@ class BatchGrads:
             buffers[name] += g
 
 
+def margin_pairs(mu_q, lv_q, table_mean, table_log_var, pos, neg, mask, margin, parts,
+                 objective, want_grads=True):
+    """Per window of a padded batch, the sum over pairs (positive j, negative
+    r*n + j) of max(0, x) (hinge) or log(1 + e^x) (soft), x = (D(q, pos) -
+    D(q, neg)) + margin, for float64 queries mu_q (B, d), lv_q (B, 1 or d) and
+    parts(mu_a, lv_a, mu_b, lv_b) -> D with its partials as gauss.kl_parts.
+    Returns (losses, None), or with want_grads (losses, (d/d mu_q, d/d lv_q,
+    row ids, mean rows, log-variance rows)), the last three as lists of pieces."""
+    d_p, gq_p, glq_p, glt_p = parts(mu_q[:, None], lv_q[:, None],
+                                    gather_rows(table_mean, pos),
+                                    gather_rows(table_log_var, pos))
+    d_n, gq_n, glq_n, glt_n = parts(mu_q[:, None, None], lv_q[:, None, None],
+                                    gather_rows(table_mean, neg),
+                                    gather_rows(table_log_var, neg))
+    arg = (d_p[:, None, :] - d_n) + margin             # B x k x P
+    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
+    if objective == "hinge":
+        kept, term = (arg > 0.0) & neg_mask, arg       # the active pairs
+    else:
+        kept, term = neg_mask, np.logaddexp(0.0, arg)
+    losses = np.sum(np.where(kept, term, 0.0), axis=(1, 2))
+    if not want_grads:
+        return losses, None
+    slope = 1.0 if objective == "hinge" else np.exp(arg - term)   # sigmoid(arg), stably
+    a = np.where(kept, slope, 0.0)[..., None]          # B x k x P x 1
+    a_p = a.sum(axis=1)                                # B x P x 1, per positive
+    m_p, m_n = a_p * gq_p, a * gq_n                    # the mean rows reuse them
+    d_mu = m_p.sum(axis=1) - m_n.sum(axis=(1, 2))
+    d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2))
+    return losses, (d_mu, d_lv, [pos[mask], neg[neg_mask]], [-m_p[mask], m_n[neg_mask]],
+                    [(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
+
+
 def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
                     want_grads: bool = True) -> BatchGrads:
     """Losses of a padded batch of windows and, if wanted, their gradients.
 
     Batch layout as in corpus.iter_training_batches; corpus.single_window
-    makes one window a batch of one. A window's loss is
-    KL(q || prior[center]) plus, per pair (positive j, negative r*n + j),
-    max(0, x) of x = KL(q || pos) - KL(q || neg) + margin, or its smooth,
-    non-negative bound log(1 + e^x) for the soft objective.
+    makes one window a batch of one. A window's loss is KL(q || prior[center])
+    plus the margin_pairs ranking of its KLs to the context densities.
     """
     acts, mu_q, lv_q = encode_batch(centers, pos, mask, model.enc)
-    ctx, ctx_lv = model.ctx_mean, model.ctx_log_var
-    kl_p, gq_p, glq_p, glt_p = kl_parts(mu_q[:, None], lv_q[:, None],
-                                        gather_rows(ctx, pos), gather_rows(ctx_lv, pos))
-    kl_n, gq_n, glq_n, glt_n = kl_parts(mu_q[:, None, None], lv_q[:, None, None],
-                                        gather_rows(ctx, neg), gather_rows(ctx_lv, neg))
     kl_0, gq_0, glq_0, glt_0 = kl_parts(mu_q, lv_q, gather_rows(model.prior_mean, centers),
                                         gather_rows(model.prior_log_var, centers))
-    arg = kl_p[:, None, :] - kl_n                      # B x k x P
-    arg += cfg.margin
-    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
-    if cfg.objective == "hinge":
-        active = (arg > 0.0) & neg_mask
-        losses = kl_0 + np.sum(np.where(active, arg, 0.0), axis=(1, 2))
-    else:
-        soft = np.logaddexp(0.0, arg)
-        losses = kl_0 + np.sum(np.where(neg_mask, soft, 0.0), axis=(1, 2))
+    rank, grads = margin_pairs(mu_q, lv_q, model.ctx_mean, model.ctx_log_var, pos, neg, mask,
+                               cfg.margin, kl_parts, cfg.objective, want_grads)
+    losses = kl_0 + rank
     if not want_grads:
         return BatchGrads(losses)
-
-    if cfg.objective == "hinge":
-        a = active.astype(np.float64)[..., None]       # B x k x P x 1
-    else:                                              # sigmoid(arg), stably
-        a = np.where(neg_mask, np.exp(arg - soft), 0.0)[..., None]
-    a_p = a.sum(axis=1)                                # B x P x 1, per positive
-    m_p, m_n = a_p * gq_p, a * gq_n                    # the ctx_mean rows reuse them
-    d_mu = m_p.sum(axis=1) - m_n.sum(axis=(1, 2)) + gq_0
-    d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2)) + glq_0
-    enc_dense, enc_rows = backward_batch(model.enc, acts, d_mu, d_lv)
-    ctx_ids = np.concatenate([pos[mask], neg[neg_mask]])
-    ctx_mu = np.concatenate([-m_p[mask], m_n[neg_mask]])
-    ctx_lv = np.concatenate([(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
+    d_mu, d_lv, ids, ctx_mu, ctx_lv = grads
+    enc_dense, enc_rows = backward_batch(model.enc, acts, d_mu + gq_0, d_lv + glq_0)
+    ids = np.concatenate(ids)
     rows = {"prior_mean": (centers, -gq_0), "prior_log_var": (centers, glt_0),
-            "ctx_mean": (ctx_ids, ctx_mu), "ctx_log_var": (ctx_ids, ctx_lv),
-            "enc_R": enc_rows}
+            "ctx_mean": (ids, np.concatenate(ctx_mu)),
+            "ctx_log_var": (ids, np.concatenate(ctx_lv)), "enc_R": enc_rows}
     return BatchGrads(losses, rows, {f"enc_{k}": g for k, g in enc_dense.items()})
 
 

@@ -25,10 +25,11 @@ def w2g_loss(m, center, positives, negatives, margin):
 
 
 def pair_energy(mu_a, lv_a, mu_b, lv_b, kind):
-    """_energy_parts on one pair of diagonal Gaussians: (energy, gradient parts)."""
-    val, grads = _energy_parts(*(np.asarray(x, dtype=np.float64)
-                                 for x in (mu_a, lv_a, mu_b, lv_b)), kind)
-    return float(val), grads
+    """The energy of one pair of diagonal Gaussians and its partials w.r.t.
+    (mu_a, lv_a, lv_b): _energy_parts returns minus both."""
+    val, *grads = _energy_parts(*(np.asarray(x, dtype=np.float64)
+                                  for x in (mu_a, lv_a, mu_b, lv_b)), kind)
+    return -float(val), [-g for g in grads]
 
 
 def sg_model(V=8, d=4, rng=None):
@@ -135,10 +136,10 @@ class TestW2gEnergy:
         rng = np.random.default_rng(d)
         mu_a, mu_b = rng.normal(scale=0.5, size=(7, 1, d)), rng.normal(scale=0.5, size=(7, 5, d))
         lv_a, lv_b = rng.normal(scale=0.3, size=(7, 1, 1)), rng.normal(scale=0.3, size=(7, 5, 1))
-        val, (g_mu, g_lva, g_lvb) = _energy_parts(mu_a, lv_a, mu_b, lv_b, "expected_likelihood")
+        val, g_mu, g_lva, g_lvb = _energy_parts(mu_a, lv_a, mu_b, lv_b, "expected_likelihood")
         wide = [np.broadcast_to(lv, lv.shape[:-1] + (d,)).copy() for lv in (lv_a, lv_b)]
-        val_d, (g_mu_d, g_lva_d, g_lvb_d) = _energy_parts(mu_a, wide[0], mu_b, wide[1],
-                                                          "expected_likelihood")
+        val_d, g_mu_d, g_lva_d, g_lvb_d = _energy_parts(mu_a, wide[0], mu_b, wide[1],
+                                                        "expected_likelihood")
         assert val.shape == val_d.shape == (7, 5)
         assert g_mu.tobytes() == g_mu_d.tobytes()
         np.testing.assert_allclose(val, val_d, rtol=1e-13, atol=0)
