@@ -54,8 +54,8 @@ class TrainConfig:
     def __post_init__(self):
         if self.dim < 1 or self.window < 1 or self.epochs < 0:
             raise ValueError("dim/window must be >= 1 and epochs >= 0")
-        if self.margin < 0:
-            raise ValueError("margin must be >= 0")
+        if not (self.margin >= 0 and np.isfinite(self.margin)):
+            raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if self.batch_size < 1 or self.hidden_dim < 0:
             raise ValueError("batch_size must be >= 1 and hidden_dim >= 0")
         if self.objective not in ("hinge", "soft"):

@@ -363,8 +363,11 @@ def main(argv=None) -> int:
     except bsg.NumericalError as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
-    except (CorpusError, EvalError, SerializationError, KeyError,
-            FileNotFoundError, ValueError) as e:
+    except OSError as e:                # e.args[0] is the errno, so name reason and path
+        print(f"error: {e.strerror}: {e.filename}" if e.filename else f"error: {e}",
+              file=sys.stderr)
+        return 2
+    except (CorpusError, EvalError, SerializationError, KeyError, ValueError) as e:
         msg = e.args[0] if e.args else str(e)
         print(f"error: {msg}", file=sys.stderr)
         return 2

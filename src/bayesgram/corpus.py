@@ -49,6 +49,9 @@ class Vocabulary:
             raise ValueError("counts must be positive")
         if not self.subsample_t > 0:
             raise ValueError(f"subsampling t must be > 0, got {self.subsample_t}")
+        if not np.isfinite(self.neg_table_exponent):
+            raise ValueError("negative-sampling exponent must be finite, got "
+                             f"{self.neg_table_exponent}")
         self._index = dict(zip(self.words, range(len(self.words))))
         if len(self._index) != len(self.words):    # a repeat's later id overwrote it
             repeated = next(w for i, w in enumerate(self.words) if self._index[w] != i)

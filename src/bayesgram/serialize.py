@@ -306,7 +306,8 @@ def _assemble(sections):
     """The bundle of a model file's sections, given as (name, where, value) in
     file order, `where` naming the line or byte a section starts at. The rules
     of both formats: a section appears at most once, none follows end, end,
-    header and vocab are present, and the header's fields are well formed."""
+    header and vocab are present, the header's fields are well formed, and each
+    word table has |V| rows of dim values (one for a spherical log-variance)."""
     found, at = {}, {}
     for name, where, value in sections:
         if "end" in found:
@@ -351,8 +352,17 @@ def _assemble(sections):
     vocab = Vocabulary(words, counts, subsample_t=settings["subsample_t"],
                        neg_table_exponent=settings["neg_exponent"])
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
-    return ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
-                       vocab=vocab, arrays=arrays, config=cfg)
+    bundle = ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
+                         vocab=vocab, arrays=arrays, config=cfg)
+    for name in REQUIRED_ARRAYS[kind]:
+        if name.startswith("enc_") and name != "enc_R":
+            continue                     # EncoderParams checks these against enc_R
+        spherical = name.endswith("log_var") and cov_kind == "spherical"
+        need = (len(vocab),) if spherical else (len(vocab), dim)
+        if arrays[name].shape != need:
+            raise SerializationError(f"{at['array:' + name]}: array {name!r} has shape "
+                                     f"{arrays[name].shape}, expected {need}")
+    return bundle
 
 
 def save_model(bundle: ModelBundle, path, mode: str = "binary"):

@@ -43,7 +43,14 @@ class TestBuildVocab:
     def test_missing_corpus(self, tmp_path, capsys):
         assert main(["build-vocab", str(tmp_path / "nope.txt"),
                      "--out", str(tmp_path / "v.tsv")]) == 2
-        assert capsys.readouterr().err.startswith("error:")
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert err == f"error: No such file or directory: {tmp_path / 'nope.txt'}\n"
+
+    def test_corpus_is_a_directory(self, tmp_path, capsys):
+        assert main(["build-vocab", str(tmp_path), "--out", str(tmp_path / "v.tsv")]) == 2
+        assert capsys.readouterr().err == f"error: Is a directory: {tmp_path}\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestTrain:
@@ -92,7 +99,11 @@ class TestTrain:
         ("--lr", "0", "learning rate must be finite and > 0, got 0.0"),
         ("--batch-size", "0", "batch_size must be >= 1 and hidden_dim >= 0"),
         ("--batch-size", "-5", "batch_size must be >= 1 and hidden_dim >= 0"),
-        ("--hidden-dim", "-3", "batch_size must be >= 1 and hidden_dim >= 0")])
+        ("--hidden-dim", "-3", "batch_size must be >= 1 and hidden_dim >= 0"),
+        ("--margin", "nan", "margin must be finite and >= 0, got nan"),
+        ("--margin", "inf", "margin must be finite and >= 0, got inf"),
+        ("--neg-exponent", "nan", "negative-sampling exponent must be finite, got nan"),
+        ("--neg-exponent", "inf", "negative-sampling exponent must be finite, got inf")])
     @pytest.mark.parametrize("kind", ["bsg", "sg", "w2g_s"])
     def test_out_of_range_setting(self, workdir, tmp_path, capsys, kind, flag, value,
                                   message):
@@ -123,6 +134,39 @@ class TestTrain:
         assert main(argv + ["--out", str(a)]) == 0
         assert main(argv + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+
+# case name -> (command line after `bayesgram`, the reason and the path an OS
+# error names); {out} is an empty directory, {missing} a path in no directory
+OS_ERRORS = {
+    "train-out-in-missing-dir": (["train", "{corpus}", "--out", "{missing}/m.bin"],
+                                 "No such file or directory: {missing}/m.bin"),
+    "train-out-is-a-directory": (["train", "{corpus}", "--out", "{out}"],
+                                 "Is a directory: {out}"),
+    "eval-sim-missing-dataset": (["eval-sim", "{model}", "{missing}.tsv"],
+                                 "No such file or directory: {missing}.tsv"),
+    "report-logdet-out-in-missing-dir": (
+        ["report-logdet", "{model}", "--out", "{missing}/r.csv"],
+        "No such file or directory: {missing}/r.csv"),
+    "nearest-model-is-a-directory": (["nearest", "{out}", "mono0"], "Is a directory: {out}"),
+}
+
+
+class TestOsErrors:
+    @pytest.mark.parametrize("name", sorted(OS_ERRORS))
+    def test_names_reason_and_path(self, workdir, tmp_path, capsys, name):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"corpus": str(workdir / "corpus.txt"), "model": str(workdir / "model.bin"),
+                 "out": str(out), "missing": str(tmp_path / "missing")}
+        argv, reason = OS_ERRORS[name]
+        if argv[0] == "train":
+            argv = argv + ["--dim", "3", "--window", "2", "--batch-size", "100000",
+                           "--subsample-t", "0.01"]
+        assert main([a.format(**paths) for a in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {reason.format(**paths)}\n"
+        assert sorted(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
 
 
 class TestUsageErrors:

@@ -178,6 +178,11 @@ class TestSampleNegatives:
         counts = np.bincount(draws, minlength=3) / len(draws)
         assert np.all(np.abs(counts - 1 / 3) <= 0.01)
 
+    @pytest.mark.parametrize("exponent", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_exponent(self, exponent):
+        with pytest.raises(ValueError, match="negative-sampling exponent must be finite"):
+            Vocabulary(["a", "b"], np.array([3, 1]), neg_table_exponent=exponent)
+
     def test_deterministic(self):
         v = Vocabulary(["a", "b"], np.array([3, 1]))
         a = sample_negatives(v, 50, np.random.default_rng(3))

@@ -384,6 +384,42 @@ def test_bad_config_names_line_or_byte(tmp_path, mode, case, capsys):
     assert err.startswith(f"error: {place}: {message}") and err.count("\n") == 1
 
 
+# (model kind, cov kind, array, its bad value from the saved one, shape the error expects)
+SHAPE_FAULTS = {"bsg-enc_R-short": ("bsg", "spherical", "enc_R", lambda a: a[:-1], (8, 3)),
+                "bsg-prior_mean-narrow": ("bsg", "diagonal", "prior_mean", lambda a: a[:, :-1],
+                                          (8, 3)),
+                "bsg-ctx_log_var-diagonal": ("bsg", "spherical", "ctx_log_var",
+                                             lambda a: np.stack([a] * 3, axis=1), (8,)),
+                "sg-out_vec-long": ("sg", "spherical", "out_vec",
+                                    lambda a: np.concatenate([a, a[:1]]), (8, 3)),
+                "w2g-log_var-spherical": ("w2g", "diagonal", "log_var", lambda a: a[:, 0],
+                                          (8, 3))}
+
+
+def array_place(data, name, mode):
+    """The line or byte at which the saved file data's array section name starts."""
+    if mode == "text":
+        head = data.index(b"#SECTION array " + name.encode() + b" ")
+        return "line %d" % (data.count(b"\n", 0, head) + 1)
+    return f"byte {data.index(b'array:' + name.encode()) - 4}"
+
+
+@pytest.mark.parametrize("case", sorted(SHAPE_FAULTS))
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_wrong_array_shape_names_line_or_byte(tmp_path, mode, case, capsys):
+    kind, cov_kind, name, bad, need = SHAPE_FAULTS[case]
+    bundle = bundle_from_model(make_model(kind, cov_kind=cov_kind))
+    bundle.arrays[name] = arr = bad(bundle.arrays[name])
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle, path, mode)
+    place = array_place(path.read_bytes(), name, mode)
+    message = f"{place}: array {name!r} has shape {arr.shape}, expected {need}"
+    with pytest.raises(SerializationError, match=re.escape(message)):
+        load_model(path)
+    assert main(["nearest", str(path), "w0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("config", [{}, {"subsample_t": 0.5, "neg_exponent": -1},
                                     {"subsample_t": 2, "neg_exponent": 0}])
 @pytest.mark.parametrize("mode", ["text", "binary"])
