@@ -12,7 +12,7 @@ from functools import partial
 
 import numpy as np
 
-from .bsg import (BatchGrads, TrainConfig, gather_rows, init_rng, margin_pairs,
+from .bsg import (BatchGrads, TrainConfig, blockwise, gather_rows, init_rng, margin_pairs,
                   run_training_loop)
 from .corpus import Vocabulary
 from .encoder import uniform_table
@@ -67,23 +67,30 @@ def _sigmoid(x):
 
 def sg_batch_gradients(model: SgModel, centers, pos, neg, mask,
                        want_grads: bool = True) -> BatchGrads:
-    """Negative-sampling skip-gram losses of a padded batch, plus gradients."""
-    v = gather_rows(model.in_vec, centers)             # B x d
-    u_p = gather_rows(model.out_vec, pos)              # B x P x d
-    u_n = gather_rows(model.out_vec, neg)              # B x k x P x d
-    s_p = np.einsum("bd,bpd->bp", v, u_p)
-    s_n = np.einsum("bd,bkpd->bkp", v, u_n)
-    neg_mask = np.broadcast_to(mask[:, None, :], s_n.shape)
-    losses = (-np.sum(np.where(mask, _log_sigmoid(s_p), 0.0), axis=1)
-              - np.sum(np.where(neg_mask, _log_sigmoid(-s_n), 0.0), axis=(1, 2)))
+    """Negative-sampling skip-gram losses of a padded batch, plus gradients; blockwise."""
+    def block(v, pos, neg, mask):
+        u_p = gather_rows(model.out_vec, pos)              # B x P x d
+        u_n = gather_rows(model.out_vec, neg)              # B x k x P x d
+        s_p = np.einsum("bd,bpd->bp", v, u_p)
+        s_n = np.einsum("bd,bkpd->bkp", v, u_n)
+        neg_mask = np.broadcast_to(mask[:, None, :], s_n.shape)
+        losses = (-np.sum(np.where(mask, _log_sigmoid(s_p), 0.0), axis=1)
+                  - np.sum(np.where(neg_mask, _log_sigmoid(-s_n), 0.0), axis=(1, 2)))
+        if not want_grads:
+            return (losses,)
+        c_p = (mask * -(1.0 - _sigmoid(s_p)))[..., None]     # d loss / d score
+        c_n = (neg_mask * _sigmoid(s_n))[..., None]
+        dv = (c_p * u_p).sum(axis=1) + (c_n * u_n).sum(axis=(1, 2))
+        return (losses, dv, [pos[mask], neg[neg_mask]],
+                [(c_p * v[:, None])[mask], (c_n * v[:, None, None])[neg_mask]])
+
+    v = gather_rows(model.in_vec, centers)                 # B x d
+    losses, *grads = blockwise(block, neg[0].size * v.shape[1], v, pos, neg, mask)
     if not want_grads:
         return BatchGrads(losses)
-    c_p = (mask * -(1.0 - _sigmoid(s_p)))[..., None]     # d loss / d score
-    c_n = (neg_mask * _sigmoid(s_n))[..., None]
-    dv = (c_p * u_p).sum(axis=1) + (c_n * u_n).sum(axis=(1, 2))
-    out_ids = np.concatenate([pos[mask], neg[neg_mask]])
-    d_out = np.concatenate([(c_p * v[:, None])[mask], (c_n * v[:, None, None])[neg_mask]])
-    return BatchGrads(losses, {"in_vec": (centers, dv), "out_vec": (out_ids, d_out)})
+    dv, out_ids, d_out = grads
+    return BatchGrads(losses, {"in_vec": (centers, dv),
+                               "out_vec": (np.concatenate(out_ids), np.concatenate(d_out))})
 
 
 def _energy_parts(mu_a, lv_a, mu_b, lv_b, kind):
@@ -120,9 +127,9 @@ def w2g_batch_gradients(model: W2gModel, centers, pos, neg, mask, margin: float,
     """Losses of a padded batch, bsg.margin_pairs's hinge with the center word's
     own density as the query and minus the energy as D, plus gradients."""
     mu_w, lv_w = gather_rows(model.mean, centers), gather_rows(model.log_var, centers)
-    losses, grads = margin_pairs(mu_w, lv_w, model.mean, model.log_var, pos, neg, mask, margin,
-                                 partial(_energy_parts, kind=model.energy_kind), "hinge",
-                                 want_grads)
+    losses, *grads = margin_pairs(mu_w, lv_w, model.mean, model.log_var, pos, neg, mask,
+                                  margin, partial(_energy_parts, kind=model.energy_kind),
+                                  "hinge", want_grads)
     if not want_grads:
         return BatchGrads(losses)
     d_mu, d_lv, ids, mean, lv = grads

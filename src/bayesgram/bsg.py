@@ -22,11 +22,11 @@ from .corpus import iter_training_windows  # noqa: F401  (perfbench wraps it her
 from .encoder import (EncoderParams, backward_batch, encode_batch, infer_posterior,
                       init_encoder, uniform_table)
 from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
-from .gauss import Gaussian, kl_divergence, kl_parts, log_density_rows
+from .gauss import BLOCK_FLOATS, Gaussian, kl_divergence, kl_parts, log_density_rows
 from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
-           "init_bsg_model", "reparameterize", "gather_rows", "margin_pairs",
+           "init_bsg_model", "reparameterize", "gather_rows", "blockwise", "margin_pairs",
            "batch_gradients", "elbo_estimate", "train"]
 
 class NumericalError(Exception):
@@ -152,37 +152,53 @@ class BatchGrads:
             buffers[name] += g
 
 
+def blockwise(kernel, floats_per_window, *batch):
+    """kernel(*batch), a tuple of arrays and lists of row pieces, run on blocks of max(1,
+    BLOCK_FLOATS // floats_per_window) windows; arrays join end to end, lists piece by
+    piece, every block's first piece ahead of any second one (the ids' scatter order)."""
+    n = max(1, BLOCK_FLOATS // floats_per_window)
+    if len(batch[0]) <= n:
+        return kernel(*batch)
+    blocks = [kernel(*(a[lo:lo + n] for a in batch)) for lo in range(0, len(batch[0]), n)]
+    return tuple(np.concatenate(parts) if isinstance(parts[0], np.ndarray)
+                 else [p[i] for i in range(len(parts[0])) for p in parts]
+                 for parts in zip(*blocks))
+
+
 def margin_pairs(mu_q, lv_q, table_mean, table_log_var, pos, neg, mask, margin, parts,
                  objective, want_grads=True):
     """Per window of a padded batch, the sum over pairs (positive j, negative
     r*n + j) of max(0, x) (hinge) or log(1 + e^x) (soft), x = (D(q, pos) -
     D(q, neg)) + margin, for float64 queries mu_q (B, d), lv_q (B, 1 or d) and
     parts(mu_a, lv_a, mu_b, lv_b) -> D with its partials as gauss.kl_parts.
-    Returns (losses, None), or with want_grads (losses, (d/d mu_q, d/d lv_q,
-    row ids, mean rows, log-variance rows)), the last three as lists of pieces."""
-    d_p, gq_p, glq_p, glt_p = parts(mu_q[:, None], lv_q[:, None],
-                                    gather_rows(table_mean, pos),
-                                    gather_rows(table_log_var, pos))
-    d_n, gq_n, glq_n, glt_n = parts(mu_q[:, None, None], lv_q[:, None, None],
-                                    gather_rows(table_mean, neg),
-                                    gather_rows(table_log_var, neg))
-    arg = (d_p[:, None, :] - d_n) + margin             # B x k x P
-    neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
-    if objective == "hinge":
-        kept, term = (arg > 0.0) & neg_mask, arg       # the active pairs
-    else:
-        kept, term = neg_mask, np.logaddexp(0.0, arg)
-    losses = np.sum(np.where(kept, term, 0.0), axis=(1, 2))
-    if not want_grads:
-        return losses, None
-    slope = 1.0 if objective == "hinge" else np.exp(arg - term)   # sigmoid(arg), stably
-    a = np.where(kept, slope, 0.0)[..., None]          # B x k x P x 1
-    a_p = a.sum(axis=1)                                # B x P x 1, per positive
-    m_p, m_n = a_p * gq_p, a * gq_n                    # the mean rows reuse them
-    d_mu = m_p.sum(axis=1) - m_n.sum(axis=(1, 2))
-    d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2))
-    return losses, (d_mu, d_lv, [pos[mask], neg[neg_mask]], [-m_p[mask], m_n[neg_mask]],
-                    [(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
+    Returns (losses,), or with want_grads (losses, d/d mu_q, d/d lv_q, row ids,
+    mean rows, log-variance rows), the last three as lists of pieces; blockwise."""
+    def block(mu_q, lv_q, pos, neg, mask):
+        d_p, gq_p, glq_p, glt_p = parts(mu_q[:, None], lv_q[:, None],
+                                        gather_rows(table_mean, pos),
+                                        gather_rows(table_log_var, pos))
+        d_n, gq_n, glq_n, glt_n = parts(mu_q[:, None, None], lv_q[:, None, None],
+                                        gather_rows(table_mean, neg),
+                                        gather_rows(table_log_var, neg))
+        arg = (d_p[:, None, :] - d_n) + margin             # B x k x P
+        neg_mask = np.broadcast_to(mask[:, None, :], arg.shape)
+        if objective == "hinge":
+            kept, term = (arg > 0.0) & neg_mask, arg       # the active pairs
+        else:
+            kept, term = neg_mask, np.logaddexp(0.0, arg)
+        losses = np.sum(np.where(kept, term, 0.0), axis=(1, 2))
+        if not want_grads:
+            return (losses,)
+        slope = 1.0 if objective == "hinge" else np.exp(arg - term)   # sigmoid(arg), stably
+        a = np.where(kept, slope, 0.0)[..., None]          # B x k x P x 1
+        a_p = a.sum(axis=1)                                # B x P x 1, per positive
+        m_p, m_n = a_p * gq_p, a * gq_n                    # the mean rows reuse them
+        d_mu = m_p.sum(axis=1) - m_n.sum(axis=(1, 2))
+        d_lv = (a_p * glq_p).sum(axis=1) - (a * glq_n).sum(axis=(1, 2))
+        return (losses, d_mu, d_lv, [pos[mask], neg[neg_mask]], [-m_p[mask], m_n[neg_mask]],
+                [(a_p * glt_p)[mask], -(a * glt_n)[neg_mask]])
+
+    return blockwise(block, neg[0].size * mu_q.shape[1], mu_q, lv_q, pos, neg, mask)
 
 
 def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
@@ -196,8 +212,8 @@ def batch_gradients(model: BsgModel, centers, pos, neg, mask, cfg: TrainConfig,
     acts, mu_q, lv_q = encode_batch(centers, pos, mask, model.enc)
     kl_0, gq_0, glq_0, glt_0 = kl_parts(mu_q, lv_q, gather_rows(model.prior_mean, centers),
                                         gather_rows(model.prior_log_var, centers))
-    rank, grads = margin_pairs(mu_q, lv_q, model.ctx_mean, model.ctx_log_var, pos, neg, mask,
-                               cfg.margin, kl_parts, cfg.objective, want_grads)
+    rank, *grads = margin_pairs(mu_q, lv_q, model.ctx_mean, model.ctx_log_var, pos, neg, mask,
+                                cfg.margin, kl_parts, cfg.objective, want_grads)
     losses = kl_0 + rank
     if not want_grads:
         return BatchGrads(losses)

@@ -59,8 +59,12 @@ class Vocabulary:
         total = float(self.counts.sum())
         self.unigram_prob = self.counts / total
         self.keep_prob = np.minimum(1.0, np.sqrt(self.subsample_t / self.unigram_prob))
-        p = self.unigram_prob ** self.neg_table_exponent
-        self.neg_prob = p / p.sum()
+        with np.errstate(over="ignore"):    # an exponent out of range is named below
+            p = self.unigram_prob ** self.neg_table_exponent
+        if not 0.0 < (p_sum := p.sum()) < np.inf:
+            raise ValueError(f"negative-sampling exponent {self.neg_table_exponent} under- "
+                             "or overflows the sampling probabilities")
+        self.neg_prob = p / p_sum
 
     @cached_property
     def neg_cdf(self) -> np.ndarray:    # as Generator.choice(p=neg_prob) builds it
@@ -183,8 +187,8 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
             counts.update(item)
     if not counts:
         raise CorpusError("empty corpus")
-    # most_common sorts stably, so frequency ties keep first-seen order
-    kept = [(w, c) for w, c in counts.most_common(max_size) if c >= min_count]
+    # one stable sort (most_common(n) takes a slower heap), so ties keep first-seen order
+    kept = [(w, c) for w, c in counts.most_common()[:max_size] if c >= min_count]
     if not kept:
         raise CorpusError("empty corpus: no word reaches min_count")
     words = [w for w, _ in kept]

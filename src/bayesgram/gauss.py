@@ -11,10 +11,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["Gaussian", "kl_divergence", "kl_rows", "kl_parts", "fold", "log_density",
-           "log_density_rows", "cosine", "cosine_rows", "log_det_cov"]
+__all__ = ["BLOCK_FLOATS", "Gaussian", "kl_divergence", "kl_rows", "kl_parts", "fold",
+           "log_density", "log_density_rows", "cosine", "cosine_rows", "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
+
+# float64 values per temporary of a blockwise pass: 96 KB, under glibc's 128 KB mmap threshold
+BLOCK_FLOATS = 12_288
 
 
 @dataclass(frozen=True)

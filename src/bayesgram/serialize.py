@@ -24,7 +24,7 @@ from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import BsgModel
 from .corpus import Vocabulary, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
-from .gauss import Gaussian, cosine_rows, kl_rows
+from .gauss import BLOCK_FLOATS, Gaussian, cosine_rows, kl_rows
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
            "model_from_bundle", "save_model", "load_model", "EmbeddingView",
@@ -387,11 +387,6 @@ def load_model(path) -> ModelBundle:
 
 
 # ----------------------------------------------------------------- inspection
-
-# float64 values per temporary of a whole-table scan (96 KB): small enough that
-# the allocator reuses freed memory instead of mapping in fresh pages each block
-BLOCK_FLOATS = 12_288
-
 
 @dataclass(frozen=True)
 class EmbeddingView:

@@ -1,6 +1,7 @@
 """The batched training kernels: batches against single windows, k = 2
 gradients against finite differences, and the non-finite-loss guard."""
 
+import tracemalloc
 from functools import partial
 
 import numpy as np
@@ -111,3 +112,80 @@ def test_gradients_match_finite_differences_at_k_2():
     batch = single_window(1, [2, 3, 2], [4, 5, 6, 7, 1, 4])
     for name, kernel, params in kernels(vocab, cfg, np.random.default_rng(7)):
         assert oracles.kernel_gradcheck(kernel, params, batch, 1e-6) <= 1e-4, name
+
+
+def random_batch(rng, V, B, k, P):
+    """A padded batch over a V-word vocabulary: few words, so ids repeat within
+    windows and across block edges; padding ids 0, ragged masks."""
+    mask = np.arange(P) < rng.integers(1, P + 1, size=B)[:, None]
+    mask[0] = True
+    pos = np.where(mask, rng.integers(0, V, size=(B, P)), 0)
+    neg = np.where(mask[:, None, :], rng.integers(0, V, size=(B, k, P)), 0)
+    return rng.integers(0, V, size=B), pos, neg, mask
+
+
+def as_bytes(g):
+    """Everything a BatchGrads holds, as bytes: equal means bit for bit."""
+    return ([g.losses.tobytes()]
+            + [(n, ids.tobytes(), rows.tobytes()) for n, (ids, rows) in sorted(g.rows.items())]
+            + [(n, a.tobytes()) for n, a in sorted(g.dense.items())])
+
+
+class TestBlocks:
+    """margin_pairs and sg_batch_gradients run over blocks of whole windows
+    (bsg.blockwise); the block size changes no bit of any kernel's result."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("k", [1, 2])
+    @pytest.mark.parametrize("windows", [0, 1, 3, 4, 7, 10 ** 6])
+    def test_block_size_does_not_change_the_result(self, monkeypatch, k, windows, dtype):
+        P, d, B = 4, 3, 7               # 3 and 4 windows a block leave a ragged block
+        rng = np.random.default_rng(k)
+        batch = random_batch(rng, 5, B, k, P)
+        cfg = dict(dim=d, hidden_dim=4, window=2, margin=0.7, param_dtype=dtype)
+        for name, kernel, _ in kernels(tiny_vocab(5), cfg, rng):
+            for want_grads in (True, False):
+                monkeypatch.setattr(bsg, "BLOCK_FLOATS", 10 ** 9)
+                whole = kernel(*batch, want_grads=want_grads)
+                # 0 windows: a budget below one window still takes one a block
+                monkeypatch.setattr(bsg, "BLOCK_FLOATS", max(1, windows * k * P * d))
+                assert as_bytes(kernel(*batch, want_grads=want_grads)) == as_bytes(whole), \
+                    (name, want_grads)
+
+    def test_blocks_split_the_batch_into_whole_windows(self, monkeypatch):
+        calls = []
+
+        def kernel(*block):
+            calls.append([len(a) for a in block])
+            return block[0], [block[1]], [block[1], block[1] + 10]
+
+        a, b = np.arange(7), np.arange(7) * 2
+        monkeypatch.setattr(bsg, "BLOCK_FLOATS", 2 * 3 + 1)
+        first, one, two = bsg.blockwise(kernel, 3, a, b)
+        assert calls == [[2, 2], [2, 2], [2, 2], [1, 1]]
+        assert np.array_equal(first, a)
+        assert [p.tolist() for p in one] == [[0, 2], [4, 6], [8, 10], [12]]
+        # every block's first piece ahead of any second one
+        assert np.concatenate(two).tolist() == [0, 2, 4, 6, 8, 10, 12, 10, 12, 14, 16,
+                                                18, 20, 22]
+
+    def test_margin_pairs_peak_memory(self):
+        """A batch of the zipf benchmark's shape (B = 515, P = 10, d = 100,
+        diagonal) peaks within 2 MB of the bytes it returns."""
+        rng = np.random.default_rng(0)
+        V, B, P, d = 2000, 515, 10, 100
+        _, pos, neg, mask = random_batch(rng, V, B, 1, P)
+        mask[:] = True
+        mean, log_var = rng.normal(size=(V, d)), rng.normal(scale=0.1, size=(V, d))
+        mu_q, lv_q = rng.normal(size=(B, d)), rng.normal(scale=0.1, size=(B, d))
+        tracemalloc.start()
+        try:
+            out = bsg.margin_pairs(mu_q, lv_q, mean, log_var, pos, neg, mask, 1.0,
+                                   bsg.kl_parts, "hinge")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        losses, d_mu, d_lv, *pieces = out
+        returned = losses.nbytes + d_mu.nbytes + d_lv.nbytes + sum(
+            p.nbytes for part in pieces for p in part)
+        assert peak - returned <= 2 * 2 ** 20, (peak, returned)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from bayesgram import bsg, cli
 from bayesgram.cli import main
 
 
@@ -103,7 +104,9 @@ class TestTrain:
         ("--margin", "nan", "margin must be finite and >= 0, got nan"),
         ("--margin", "inf", "margin must be finite and >= 0, got inf"),
         ("--neg-exponent", "nan", "negative-sampling exponent must be finite, got nan"),
-        ("--neg-exponent", "inf", "negative-sampling exponent must be finite, got inf")])
+        ("--neg-exponent", "inf", "negative-sampling exponent must be finite, got inf"),
+        ("--neg-exponent", "2000",
+         "negative-sampling exponent 2000.0 under- or overflows the sampling probabilities")])
     @pytest.mark.parametrize("kind", ["bsg", "sg", "w2g_s"])
     def test_out_of_range_setting(self, workdir, tmp_path, capsys, kind, flag, value,
                                   message):
@@ -143,6 +146,7 @@ OS_ERRORS = {
                                  "No such file or directory: {missing}/m.bin"),
     "train-out-is-a-directory": (["train", "{corpus}", "--out", "{out}"],
                                  "Is a directory: {out}"),
+    "train-out-empty": (["train", "{corpus}", "--out", ""], "[Errno 21] Is a directory: ''"),
     "eval-sim-missing-dataset": (["eval-sim", "{model}", "{missing}.tsv"],
                                  "No such file or directory: {missing}.tsv"),
     "report-logdet-out-in-missing-dir": (
@@ -167,6 +171,30 @@ class TestOsErrors:
         captured = capsys.readouterr()
         assert captured.err == f"error: {reason.format(**paths)}\n"
         assert sorted(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", [n for n in sorted(OS_ERRORS) if n.startswith("train")])
+    def test_train_out_fails_before_the_corpus_is_read(self, workdir, tmp_path, capsys,
+                                                       monkeypatch, name):
+        def untouchable(*_args, **_kw):
+            raise AssertionError("the corpus was read")
+
+        monkeypatch.setattr(cli, "iter_documents", untouchable)
+        monkeypatch.setattr(bsg, "iter_training_batches", untouchable)
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"corpus": str(workdir / "corpus.txt"), "out": str(out),
+                 "missing": str(tmp_path / "missing")}
+        argv, reason = OS_ERRORS[name]
+        assert main([a.format(**paths) for a in argv]) == 2
+        assert capsys.readouterr().err == f"error: {reason.format(**paths)}\n"
+        assert sorted(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    def test_train_replaces_out_and_leaves_no_temporary(self, workdir, tmp_path):
+        out = tmp_path / "m.bin"
+        out.write_bytes(b"old")
+        assert main(["train", str(workdir / "corpus.txt"), "--out", str(out), "--dim", "3",
+                     "--window", "2", "--batch-size", "100000", "--subsample-t", "0.01"]) == 0
+        assert out.read_bytes()[:4] != b"old" and sorted(tmp_path.iterdir()) == [out]
 
 
 class TestUsageErrors:

@@ -1,5 +1,6 @@
 import hashlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -57,6 +58,17 @@ class TestBuildVocabulary:
     def test_tie_break_first_seen(self):
         v = build_vocabulary(["z", "q", "z", "q"], 10, 1)
         assert v.words == ["z", "q"]
+
+    @pytest.mark.parametrize("max_size", [1, 2, 5, 17, 40, 41, 1000])
+    def test_ties_and_cutoff_as_most_common_n(self, max_size):
+        # 41 types over 6 counts, so most ranks are ties, cut at several places
+        rng = np.random.default_rng(0)
+        words = [f"t{i}" for i in rng.permutation(41)]
+        tokens = [w for i, w in enumerate(words) for _ in range(1 + i % 6)]
+        tokens = [tokens[i] for i in rng.permutation(len(tokens))]
+        want = Counter(tokens).most_common(max_size)     # a heap, not a sort
+        v = build_vocabulary(tokens, max_size, 1)
+        assert list(zip(v.words, v.counts.tolist())) == want
 
     def test_empty_stream(self):
         with pytest.raises(CorpusError, match="empty corpus"):
@@ -182,6 +194,12 @@ class TestSampleNegatives:
     def test_non_finite_exponent(self, exponent):
         with pytest.raises(ValueError, match="negative-sampling exponent must be finite"):
             Vocabulary(["a", "b"], np.array([3, 1]), neg_table_exponent=exponent)
+
+    @pytest.mark.parametrize("exponent", [2000.0, -2000.0])
+    def test_exponent_that_under_or_overflows(self, exponent):
+        # 0.5 ** 2000 underflows to 0, the sum too; 0.5 ** -2000 overflows
+        with pytest.raises(ValueError, match=f"exponent {exponent} under- or overflows"):
+            Vocabulary(["a", "b"], np.array([1, 1]), neg_table_exponent=exponent)
 
     def test_deterministic(self):
         v = Vocabulary(["a", "b"], np.array([3, 1]))
