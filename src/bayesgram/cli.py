@@ -9,6 +9,7 @@ import argparse
 import errno
 import os
 import sys
+import tempfile
 from functools import partial
 
 import numpy as np
@@ -144,47 +145,41 @@ def _cmd_build_vocab(args):
 
 
 def _cmd_train(args):
-    # save beside --out, then rename onto it: an unwritable --out fails before any reading
-    tmp = os.path.join(os.path.dirname(args.out), f".{os.path.basename(args.out)}.{os.getpid()}")
+    # an unwritable --out fails before any reading; save_model replaces it only once whole
     try:
         if os.path.isdir(args.out or "."):     # "" is refused as the current directory
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        open(tmp, "wb").close()
+        tempfile.TemporaryFile(dir=os.path.dirname(args.out) or ".").close()
     except OSError as e:
         raise OSError(e.errno, e.strerror, args.out) from None
-    try:
-        vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
-                                 neg_table_exponent=args.neg_exponent)
-                 if args.vocab else _build_vocab(args, t=args.subsample_t,
-                                                 neg_exponent=args.neg_exponent))
-        cfg = bsg.TrainConfig(
-            dim=args.dim, window=args.window, subsample_t=args.subsample_t,
-            negatives_per_positive=args.negatives, margin=args.margin,
-            batch_size=args.batch_size,
-            learning_rate=args.lr if args.lr is not None else bsg.TrainConfig.learning_rate,
-            epochs=args.epochs, seed=args.seed, objective=args.objective,
-            cov_kind=args.cov, hidden_dim=args.hidden_dim,
-            neg_exponent=args.neg_exponent, lowercase=args.lowercase)
-        epoch_losses = []
-        if args.model == "bsg":
-            model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
-                              epoch_losses=epoch_losses)
-        else:
-            model = baselines.train_baseline(
-                args.model, args.corpus, vocab, cfg, log_path=args.log,
-                epoch_losses=epoch_losses, learning_rate=args.lr,
-                **({"energy_kind": args.energy} if args.model != "sg" else {}))
-        snapshot = {"model": args.model, "dim": cfg.dim, "window": cfg.window,
-                    "subsample_t": cfg.subsample_t, "margin": cfg.margin,
-                    "objective": cfg.objective, "epochs": cfg.epochs,
-                    "seed": cfg.seed, "neg_exponent": cfg.neg_exponent,
-                    "batch_size": cfg.batch_size}
-        serialize.save_model(serialize.bundle_from_model(model, snapshot),
-                             tmp, mode=args.format)
-        os.replace(tmp, args.out)
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+    vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
+                             neg_table_exponent=args.neg_exponent)
+             if args.vocab else _build_vocab(args, t=args.subsample_t,
+                                             neg_exponent=args.neg_exponent))
+    cfg = bsg.TrainConfig(
+        dim=args.dim, window=args.window, subsample_t=args.subsample_t,
+        negatives_per_positive=args.negatives, margin=args.margin,
+        batch_size=args.batch_size,
+        learning_rate=args.lr if args.lr is not None else bsg.TrainConfig.learning_rate,
+        epochs=args.epochs, seed=args.seed, objective=args.objective,
+        cov_kind=args.cov, hidden_dim=args.hidden_dim,
+        neg_exponent=args.neg_exponent, lowercase=args.lowercase)
+    epoch_losses = []
+    if args.model == "bsg":
+        model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
+                          epoch_losses=epoch_losses)
+    else:
+        model = baselines.train_baseline(
+            args.model, args.corpus, vocab, cfg, log_path=args.log,
+            epoch_losses=epoch_losses, learning_rate=args.lr,
+            **({"energy_kind": args.energy} if args.model != "sg" else {}))
+    snapshot = {"model": args.model, "dim": cfg.dim, "window": cfg.window,
+                "subsample_t": cfg.subsample_t, "margin": cfg.margin,
+                "objective": cfg.objective, "epochs": cfg.epochs,
+                "seed": cfg.seed, "neg_exponent": cfg.neg_exponent,
+                "batch_size": cfg.batch_size}
+    serialize.save_model(serialize.bundle_from_model(model, snapshot),
+                         args.out, mode=args.format)
     losses = ", ".join(f"{x:.4f}" for x in epoch_losses)
     print(f"trained {args.model} on {args.corpus}; epoch mean losses: [{losses}]; "
           f"model -> {args.out}")

@@ -58,9 +58,11 @@ class Vocabulary:
             raise ValueError(f"repeated vocabulary word {repeated!r}")
         total = float(self.counts.sum())
         self.unigram_prob = self.counts / total
-        self.keep_prob = np.minimum(1.0, np.sqrt(self.subsample_t / self.unigram_prob))
-        with np.errstate(over="ignore"):    # an exponent out of range is named below
+        # a t/p past the float range keeps every token; an exponent out of range is named below
+        with np.errstate(over="ignore"):
+            keep = np.sqrt(self.subsample_t / self.unigram_prob)
             p = self.unigram_prob ** self.neg_table_exponent
+        self.keep_prob = np.minimum(1.0, keep)
         if not 0.0 < (p_sum := p.sum()) < np.inf:
             raise ValueError(f"negative-sampling exponent {self.neg_table_exponent} under- "
                              "or overflows the sampling probabilities")
@@ -124,8 +126,9 @@ def format_vocab(words, counts) -> str:
 def parse_vocab(lines, first: int = 1, error=CorpusError):
     """(words, counts) of `word<TAB>count` lines given without their line feed,
     lines[0] being line `first`. Blank lines are skipped, and so is the `\r`
-    ending a CRLF line, as int() reads past it. A malformed line or a repeated
-    word raises error(message), the message naming its line."""
+    ending a CRLF line, as int() reads past it. A malformed line, a count
+    that is not positive or a repeated word raises error(message), the
+    message naming its line."""
     words, counts = [], []
     for lineno, line in enumerate(lines, first):
         if line in ("", "\r"):
@@ -136,9 +139,12 @@ def parse_vocab(lines, first: int = 1, error=CorpusError):
         except ValueError:
             raise error(f"malformed vocab line {lineno}: {line!r}") from None
         words.append(word)
-    if len(set(words)) < len(words):              # name the first repeat's line
+    if min(counts, default=1) <= 0 or len(set(words)) < len(words):
         line_of = [n for n, line in enumerate(lines, first) if line not in ("", "\r")]
-        index = {}
+        if min(counts) <= 0:                      # name the first such count's line
+            j = next(j for j, c in enumerate(counts) if c <= 0)
+            raise error(f"count {counts[j]} on vocab line {line_of[j]} is not positive")
+        index = {}                                # name the first repeat's line
         j = next(j for j, w in enumerate(words) if index.setdefault(w, j) != j)
         raise error(f"repeated word {words[j]!r} on vocab line {line_of[j]}")
     return words, np.asarray(counts, dtype=np.int64)

@@ -15,6 +15,7 @@ or w2g), and a snapshot of the training configuration.
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -190,7 +191,16 @@ def _text_section(head, body, lineno):
     if len(flat) != need:
         fail(f"truncated array section {name!r}: got {len(flat)} of {need} values",
              lineno + 1 + len(body))
-    return "array:" + name, np.array(flat, dtype=dtype).reshape(shape)
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            return "array:" + name, np.array(flat, dtype=dtype).reshape(shape)
+    except FloatingPointError as e:     # name the first line holding such a value
+        for at, line in enumerate(body, lineno + 1):
+            try:
+                with np.errstate(over="raise", invalid="raise"):
+                    np.array([float(x) for x in line.split()], dtype=dtype)
+            except FloatingPointError:
+                fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
 
 
 # -------------------------------------------------------------- binary format
@@ -199,12 +209,11 @@ def _save_binary(bundle, vocab_text, f):
     f.write(MAGIC)
     f.write(struct.pack("<I", FORMAT_VERSION))
 
-    def section(name, payload):
+    def section(name, *parts):        # each part bytes or a uint8 array, written as is
         nb = name.encode("utf-8")
-        f.write(struct.pack("<I", len(nb)))
-        f.write(nb)
-        f.write(struct.pack("<Q", len(payload)))
-        f.write(payload)
+        f.write(struct.pack(f"<I{len(nb)}sQ", len(nb), nb, sum(map(len, parts))))
+        for part in parts:
+            f.write(part)
 
     section("header", json.dumps(_header_dict(bundle), sort_keys=True).encode())
     section("config", json.dumps(bundle.config, sort_keys=True).encode())
@@ -213,43 +222,44 @@ def _save_binary(bundle, vocab_text, f):
         arr = np.ascontiguousarray(bundle.arrays[name])
         meta = json.dumps({"dtype": arr.dtype.name, "shape": list(arr.shape)},
                           sort_keys=True).encode()
-        payload = struct.pack("<I", len(meta)) + meta + arr.astype(
-            arr.dtype.newbyteorder("<")).tobytes()
-        section("array:" + name, payload)
+        data = arr.astype(arr.dtype.newbyteorder("<"), copy=False).reshape(-1)
+        section("array:" + name, struct.pack("<I", len(meta)), meta, data.view(np.uint8))
     section("end", b"")
 
 
-def _binary_sections(data):
-    """(name, where, value) of each length-prefixed section of a binary model
-    file, after its magic and format version."""
-    if len(data) < 8:
+def _binary_sections(f, size):
+    """(name, where, value) of each length-prefixed section of the binary model
+    file f, size bytes long, read after its magic. A section's length is
+    checked against the file size before it is read."""
+    raw = f.read(4)
+    if len(raw) < 4:
         raise SerializationError("byte 4: truncated format version")
-    (version,) = struct.unpack_from("<I", data, 4)
+    (version,) = struct.unpack("<I", raw)
     if version != FORMAT_VERSION:
         raise SerializationError(
             f"unknown format version {version} (supported: {FORMAT_VERSION})")
     off = 8
-    while off < len(data):
+    while off < size:
         at = off
-        if off + 4 > len(data):
+        if off + 4 > size:
             raise SerializationError(f"byte {off}: truncated section name length")
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = _utf8(data[off:off + nlen], off, "section name")
-        off += nlen
-        if off + 8 > len(data):
-            raise SerializationError(f"byte {off}: truncated section {name!r}")
-        (plen,) = struct.unpack_from("<Q", data, off)
-        off += 8
-        start, off = off, off + plen
-        payload = data[start:off]
-        if len(payload) != plen:
+        (nlen,) = struct.unpack("<I", f.read(4))
+        start = at + 12 + nlen
+        if start > size:
+            raise SerializationError(f"byte {at + 4}: truncated section name or length")
+        raw = f.read(nlen + 8)
+        name = _utf8(raw[:nlen], at + 4, "section name")
+        (plen,) = struct.unpack_from("<Q", raw, nlen)
+        off = start + plen
+        if off > size:
             raise SerializationError(f"byte {start}: truncated section {name!r}")
-        yield name, f"byte {at}", _binary_section(name, payload, start)
+        yield name, f"byte {at}", _binary_section(name, f, plen, start)
 
 
-def _binary_section(name, payload, start):
-    """The value of section `name`, whose payload starts at byte start."""
+def _binary_section(name, f, plen, start):
+    """The value of section `name`, read from f: plen bytes starting at byte
+    start. An array is read straight into its own buffer, sized by plen."""
+    payload = None if name.startswith("array:") else f.read(plen)
     if name == "header":
         return {k: str(v) for k, v in _json_object(payload, start, "header").items()}
     if name == "config":
@@ -261,17 +271,23 @@ def _binary_section(name, payload, start):
         return None
     if not name.startswith("array:"):
         raise SerializationError(f"byte {start}: unknown section {name!r}")
-    if len(payload) < 4:
+    if plen < 4:
         raise SerializationError(f"byte {start}: truncated array meta length")
-    (mlen,) = struct.unpack_from("<I", payload, 0)
-    meta = _json_object(payload[4:4 + mlen], start + 4, f"{name} meta")
+    (mlen,) = struct.unpack("<I", f.read(4))
+    if mlen > plen - 4:
+        raise SerializationError(f"byte {start + 4}: truncated {name} meta")
+    meta = _json_object(f.read(mlen), start + 4, f"{name} meta")
+    nbytes = plen - 4 - mlen
     try:
         dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-        arr = np.frombuffer(payload[4 + mlen:], dtype=dtype).reshape(meta["shape"])
+        if dtype.kind not in "fiu" or nbytes % dtype.itemsize:   # no bytes into pointers
+            raise ValueError(f"{nbytes} bytes do not hold {dtype} numbers")
+        arr = np.empty(nbytes // dtype.itemsize, dtype).reshape(meta["shape"])
     except (KeyError, TypeError, ValueError) as e:
         raise SerializationError(
             f"byte {start}: corrupt array section {name[6:]!r}: {e}") from None
-    return arr.astype(meta["dtype"])
+    f.readinto(arr)
+    return arr.astype(meta["dtype"], copy=False)
 
 
 def _utf8(raw, start, what):
@@ -349,8 +365,11 @@ def _assemble(sections):
             raise SerializationError(f"{at['config']}: config {key} must be {need}, "
                                      f"got {value!r}")
         settings[key] = value
-    vocab = Vocabulary(words, counts, subsample_t=settings["subsample_t"],
-                       neg_table_exponent=settings["neg_exponent"])
+    try:
+        vocab = Vocabulary(words, counts, subsample_t=settings["subsample_t"],
+                           neg_table_exponent=settings["neg_exponent"])
+    except ValueError as e:    # only a config exponent whose probabilities under- or overflow
+        raise SerializationError(f"{at['config']}: config {e}") from None
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
     bundle = ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
                          vocab=vocab, arrays=arrays, config=cfg)
@@ -366,23 +385,35 @@ def _assemble(sections):
 
 
 def save_model(bundle: ModelBundle, path, mode: str = "binary"):
+    """Write the bundle to a temporary file beside path, then rename it onto
+    path: a save that fails partway leaves path as it was, and no temporary."""
     # formatted first: a word the format cannot hold is refused before the file opens
     vocab_text = format_vocab(bundle.vocab.words, bundle.vocab.counts)
-    if mode == "text":
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
-            _save_text(bundle, vocab_text, f)
-    elif mode == "binary":
-        with open(path, "wb") as f:
-            _save_binary(bundle, vocab_text, f)
-    else:
+    if mode not in ("text", "binary"):
         raise ValueError(f"unknown mode {mode!r}")
+    path = os.fspath(path)
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}")
+    try:
+        if mode == "text":
+            with open(tmp, "w", encoding="utf-8", newline="\n") as f:
+                _save_text(bundle, vocab_text, f)
+        else:
+            with open(tmp, "wb") as f:
+                _save_binary(bundle, vocab_text, f)
+        os.replace(tmp, path)
+    except OSError as e:                 # named by the path asked for, not the temporary
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def load_model(path) -> ModelBundle:
     with open(path, "rb") as f:
+        if f.read(4) == MAGIC:
+            return _assemble(_binary_sections(f, os.fstat(f.fileno()).st_size))
+        f.seek(0)
         data = f.read()
-    if data[:4] == MAGIC:
-        return _assemble(_binary_sections(data))
     return _assemble(_text_sections(_utf8(data, 0, "text model file")))
 
 

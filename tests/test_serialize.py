@@ -1,11 +1,16 @@
 import dataclasses
+import errno
+import hashlib
 import json
 import re
 import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bayesgram import serialize
 from bayesgram.baselines import W2G_SETTINGS, init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
 from bayesgram.cli import main
@@ -218,6 +223,10 @@ CORRUPTIONS = {
         ("text", b'{"seed": 0}', b'{"seed"; 0}', r"line 7: corrupt config JSON"),
     "text-array-not-a-number":
         ("text", b"\n0.0", b"\nx.0", r"line 18: array section 'in_vec'"),
+    "binary-vocab-count-zero":
+        ("binary", b"w3\t4\n", b"w3\t0\n", r"byte \d+: count 0 on vocab line 4 is not positive"),
+    "text-vocab-count-zero":
+        ("text", b"w3\t4\n", b"w3\t0\n", r"^count 0 on vocab line 12 is not positive"),
 }
 
 
@@ -347,7 +356,10 @@ CONFIG_FAULTS = {"list": ([1, 2], "config JSON is not an object"),
                  "subsample_t-nan": ({"subsample_t": float("nan")}, "config subsample_t must be a"
                                      " number > 0, got nan"),
                  "neg_exponent-inf": ({"neg_exponent": float("inf")},
-                                      "config neg_exponent must be a finite number, got inf")}
+                                      "config neg_exponent must be a finite number, got inf"),
+                 "neg_exponent-underflows": ({"neg_exponent": 2000},
+                                             "config negative-sampling exponent 2000 under- "
+                                             "or overflows the sampling probabilities")}
 
 
 def config_section(config, mode):
@@ -509,6 +521,193 @@ class TestSectionLikeWords:
         path.write_text(path.read_text().replace("#SECTION end", "#SECTION "))
         with pytest.raises(SerializationError, match="unknown section ''"):
             load_model(path)
+
+
+class TestTextValues:
+    def test_value_overflowing_its_dtype_names_its_line(self, tmp_path, capsys):
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"][2, 1] = 0.5
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        data = path.read_bytes()
+        assert data.count(b" 0.5 ") == 1
+        path.write_bytes(data.replace(b" 0.5 ", b" 1e39 "))
+        line = data.count(b"\n", 0, data.index(b" 0.5 ")) + 1
+        message = (f"line {line}: array section 'in_vec': a value does not fit float32: "
+                   "overflow encountered in cast")
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_literal_nan_and_inf_round_trip(self, tmp_path, mode):
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"][0] = [np.nan, np.inf, -np.inf]
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle, path, mode)
+        np.testing.assert_array_equal(load_model(path).arrays["in_vec"],
+                                      bundle.arrays["in_vec"])
+
+
+class FailOnSecondArray:
+    """A writable file whose write raises `exc` where the second array starts."""
+
+    def __init__(self, f, exc):
+        self.f, self.exc, self.arrays = f, exc, 0
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+
+    def write(self, data):
+        if (isinstance(data, np.ndarray)                            # binary
+                or isinstance(data, str) and data.startswith("#SECTION array")):    # text
+            self.arrays += 1
+            if self.arrays == 2:
+                raise self.exc
+        return self.f.write(data)
+
+
+class TestSaveReplacesWhole:
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, "No space left on device"),
+                                     KeyboardInterrupt()], ids=["oserror", "interrupt"])
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_failed_save_keeps_the_old_file(self, tmp_path, monkeypatch, mode, exc):
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle_from_model(make_model("sg", seed=1)), path, mode)
+        old = path.read_bytes()
+        monkeypatch.setattr(serialize, "open",
+                            lambda *a, **kw: FailOnSecondArray(open(*a, **kw), exc),
+                            raising=False)
+        with pytest.raises(type(exc)):
+            save_model(bundle_from_model(make_model("sg", seed=2)), path, mode)
+        assert path.read_bytes() == old and list(tmp_path.iterdir()) == [path]
+
+    def test_error_names_the_target(self, tmp_path):
+        path = tmp_path / "missing" / "m.bin"
+        with pytest.raises(FileNotFoundError, match=re.escape(f": '{path}'")):
+            save_model(bundle_from_model(make_model("sg")), path)
+        assert list(tmp_path.iterdir()) == []
+
+
+def array_section(name, meta, data, plen=None, mlen=None):
+    """The bytes of binary section array:name with meta JSON bytes and data
+    bytes; plen and mlen override the payload and meta lengths it declares."""
+    nb = f"array:{name}".encode()
+    payload = struct.pack("<I", len(meta) if mlen is None else mlen) + meta + data
+    return (struct.pack("<I", len(nb)) + nb
+            + struct.pack("<Q", len(payload) if plen is None else plen) + payload)
+
+
+# in_vec section -> (its bytes from (meta, data), the error after its place)
+ARRAY_SECTION_FAULTS = {
+    "shape-of-a-terabyte": (lambda meta, data: array_section(
+        "in_vec", b'{"dtype": "float32", "shape": [1000000000000, 100]}', data),
+        "corrupt array section 'in_vec': cannot reshape array of size 24"),
+    "length-past-the-end": (lambda meta, data: array_section("in_vec", meta, data, 2 ** 62),
+                            "truncated section 'array:in_vec'"),
+    "meta-past-the-section": (lambda meta, data: array_section("in_vec", meta, data,
+                                                               mlen=2 ** 31),
+                              "truncated array:in_vec meta"),
+    "object-dtype": (lambda meta, data: array_section(
+        "in_vec", meta.replace(b'"float32"', b'"object"'), data),
+        "corrupt array section 'in_vec': 96 bytes do not hold object numbers"),
+    "ragged-bytes": (lambda meta, data: array_section("in_vec", meta, data[:-1]),
+                     "corrupt array section 'in_vec': 95 bytes do not hold float32 numbers"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ARRAY_SECTION_FAULTS))
+def test_array_meta_cannot_size_an_allocation(tmp_path, case, capsys):
+    path = tmp_path / "m.bin"
+    bundle = bundle_from_model(make_model("sg"))
+    save_model(bundle, path)
+    lead, sections = split_sections(path.read_bytes(), "binary")
+    i = [name for name, _ in sections].index("array:in_vec")
+    meta = json.dumps({"dtype": "float32", "shape": [8, 3]}, sort_keys=True).encode()
+    data = bundle.arrays["in_vec"].tobytes()
+    assert sections[i][1] == array_section("in_vec", meta, data)
+    make, message = ARRAY_SECTION_FAULTS[case]
+    before = lead + b"".join(raw for _, raw in sections[:i])
+    path.write_bytes(before + make(meta, data) + b"".join(raw for _, raw in sections[i + 1:]))
+    with pytest.raises(SerializationError, match=r"^byte \d+: " + re.escape(message)):
+        load_model(path)
+    assert main(["nearest", str(path), "w0"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: byte ") and err.count("\n") == 1
+
+
+def golden_bundle():
+    vocab = Vocabulary(["a", "bé", "c"], [5, 3, 1])
+    means = (np.arange(6, dtype=np.float32).reshape(3, 2) - 2.5) / 3
+    log_var = np.array([-1.0, 0.5, 1e-8], dtype=np.float32)
+    return ModelBundle("w2g", "spherical", 2, vocab, {"mean": means, "log_var": log_var},
+                       {"seed": 0, "neg_exponent": 0.75})
+
+
+# SHA-256 of golden_bundle() as saved when the format was last changed
+GOLDEN_SHA256 = {"binary": "d4f7591b1983ffc0bd07db15b667a10764a9ea066b26e6c7e53e5fb0452e11e1",
+                 "text": "c33fd7d6255eb625f2f1c85b97a4fa053cf32c8cdd7ad843fe27c4ab33e6f951"}
+
+
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_saved_bytes_are_pinned(tmp_path, mode):
+    path = tmp_path / f"m.{mode}"
+    save_model(golden_bundle(), path, mode)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[mode]
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_loaded_arrays_are_native_and_writable(tmp_path, kind, mode):
+    """So that infer's matmuls take the BLAS path, with no copy first."""
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle_from_model(make_model(kind, cov_kind="diagonal")), path, mode)
+    for name, arr in load_model(path).arrays.items():
+        flags = arr.flags
+        assert flags.writeable and flags.aligned and flags.c_contiguous, name
+        assert arr.dtype.isnative and arr.dtype == np.float32, name
+
+
+@pytest.fixture(scope="module")
+def small_files(tmp_path_factory):
+    """A scratch path, and the bytes of small sg and bsg models saved in both
+    formats, their configs holding both numbers the vocabulary reads."""
+    path = tmp_path_factory.mktemp("fuzz") / "m"
+    files = {}
+    for kind in ("sg", "bsg"):
+        bundle = bundle_from_model(make_model(kind, V=4, d=2), {
+            "seed": 0, "subsample_t": 1e-05, "neg_exponent": 0.75})
+        for mode in ("text", "binary"):
+            save_model(bundle, path, mode)
+            files[kind, mode] = path.read_bytes()
+    return path, files
+
+
+@pytest.mark.parametrize("kind", ["sg", "bsg"])
+@pytest.mark.parametrize("mode", ["text", "binary"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_truncated_or_flipped_file_raises_only_serialization_error(
+        small_files, kind, mode, data):
+    """Cut the file short, or flip 1-3 of its bytes: load_model returns or
+    raises SerializationError, and a RuntimeWarning fails the test."""
+    path, files = small_files
+    raw = bytearray(files[kind, mode])
+    if data.draw(st.booleans(), label="truncate"):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1), label="length")]
+    else:
+        for _ in range(data.draw(st.integers(1, 3), label="flips")):
+            at = data.draw(st.integers(0, len(raw) - 1), label="byte")
+            raw[at] ^= data.draw(st.integers(1, 255), label="xor")
+    path.write_bytes(bytes(raw))
+    try:
+        load_model(path)
+    except SerializationError:
+        pass
 
 
 class TestNearest:
