@@ -8,6 +8,7 @@ never cross document boundaries.
 from collections import Counter
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import accumulate
 
 import numpy as np
 
@@ -127,8 +128,8 @@ def parse_vocab(lines, first: int = 1, error=CorpusError):
     """(words, counts) of `word<TAB>count` lines given without their line feed,
     lines[0] being line `first`. Blank lines are skipped, and so is the `\r`
     ending a CRLF line, as int() reads past it. A malformed line, a count
-    that is not positive or a repeated word raises error(message), the
-    message naming its line."""
+    that is not positive or takes the total past int64, or a repeated word
+    raises error(message), the message naming its line."""
     words, counts = [], []
     for lineno, line in enumerate(lines, first):
         if line in ("", "\r"):
@@ -139,11 +140,14 @@ def parse_vocab(lines, first: int = 1, error=CorpusError):
         except ValueError:
             raise error(f"malformed vocab line {lineno}: {line!r}") from None
         words.append(word)
-    if min(counts, default=1) <= 0 or len(set(words)) < len(words):
+    # each count positive and their total within int64, so Vocabulary's sum cannot wrap
+    if min(counts, default=1) <= 0 or sum(counts) >= 2 ** 63 or len(set(words)) < len(words):
         line_of = [n for n, line in enumerate(lines, first) if line not in ("", "\r")]
-        if min(counts) <= 0:                      # name the first such count's line
-            j = next(j for j, c in enumerate(counts) if c <= 0)
-            raise error(f"count {counts[j]} on vocab line {line_of[j]} is not positive")
+        j = next((j for j, (c, total) in enumerate(zip(counts, accumulate(counts)))
+                  if c <= 0 or total >= 2 ** 63), None)
+        if j is not None:
+            why = "is not positive" if counts[j] <= 0 else "takes the total past 2**63 - 1"
+            raise error(f"count {counts[j]} on vocab line {line_of[j]} {why}")
         index = {}                                # name the first repeat's line
         j = next(j for j, w in enumerate(words) if index.setdefault(w, j) != j)
         raise error(f"repeated word {words[j]!r} on vocab line {line_of[j]}")

@@ -6,6 +6,8 @@ A model file is one ordered list of named sections: header, config, vocab,
 * text: line-oriented with `#SECTION <name>` headers and floats printed at
   17 significant digits, diffable and portable;
 * binary: magic `BSG1`, little-endian, length-prefixed sections, exact.
+  An array is copied once each way: read from the file into an array sized
+  by its section length, written from the array's own bytes.
 
 Each reader frames and decodes its sections, naming the line or byte of a
 fault; `_assemble` holds the section rules both formats share. A bundle

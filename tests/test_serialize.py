@@ -433,7 +433,8 @@ def test_wrong_array_shape_names_line_or_byte(tmp_path, mode, case, capsys):
 
 
 @pytest.mark.parametrize("config", [{}, {"subsample_t": 0.5, "neg_exponent": -1},
-                                    {"subsample_t": 2, "neg_exponent": 0}])
+                                    {"subsample_t": 2, "neg_exponent": 0},
+                                    {"subsample_t": 1e308}])     # t / p overflows: keep all
 @pytest.mark.parametrize("mode", ["text", "binary"])
 def test_good_config_loads(tmp_path, mode, config):
     path = tmp_path / f"m.{mode}"
@@ -481,6 +482,26 @@ class TestVocabLines:
         path.write_bytes(data.replace(b"w2\t3\n", b"w1\t3\n", 1))
         with pytest.raises(SerializationError, match=where):
             load_model(path)
+
+    # w3's count -> (the vocab line whose running total passes int64, text file line)
+    @pytest.mark.parametrize("count, line, at", [(2 ** 63, 4, 12), (2 ** 63 - 20, 7, 15)])
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_total_past_int64_names_its_line(self, tmp_path, mode, count, line, at, capsys):
+        path = tmp_path / f"m.{mode}"
+        save_model(bundle_from_model(make_model("sg")), path, mode)
+        lead, sections = split_sections(path.read_bytes(), mode)
+        i = [name for name, _ in sections].index("vocab")
+        counts = [1, 2, 3, count, 5, 6, 7, 8]
+        payload = "".join(f"w{j}\t{c}\n" for j, c in enumerate(counts)).encode()
+        vocab = (b"#SECTION vocab\n" + payload if mode == "text" else
+                 struct.pack("<I", 5) + b"vocab" + struct.pack("<Q", len(payload)) + payload)
+        path.write_bytes(lead + b"".join(raw for _, raw in sections[:i]) + vocab
+                         + b"".join(raw for _, raw in sections[i + 1:]))
+        where = f"vocab line {at}" if mode == "text" else rf"byte \d+: .* vocab line {line}"
+        with pytest.raises(SerializationError, match=f"{where} takes the total past"):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_writer_refuses_a_tab_in_a_word(self, tmp_path, mode):
