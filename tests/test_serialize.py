@@ -695,7 +695,7 @@ def test_loaded_arrays_are_native_and_writable(tmp_path, kind, mode):
 
 @pytest.fixture(scope="module")
 def small_files(tmp_path_factory):
-    """A scratch path, and the bytes of small sg and bsg models saved in both
+    """A path to write to, and the bytes of small sg and bsg models saved in both
     formats, their configs holding both numbers the vocabulary reads."""
     path = tmp_path_factory.mktemp("fuzz") / "m"
     files = {}
