@@ -218,10 +218,7 @@ def train_baseline(kind: str, corpus_path, vocab: Vocabulary, cfg: TrainConfig,
         cov_kind = "spherical" if kind == "w2g_s" else "diagonal"
         model = init_w2g_model(vocab, cfg, rng, cov_kind, **w2g_kwargs)
         grad_of_batch = partial(w2g_batch_gradients, model, margin=cfg.margin)
-
-        def post_batch(_params):
-            clip_params(model)
-
+        post_batch = partial(clip_params, model)
     steps = run_training_loop(corpus_path, vocab, cfg, model.param_arrays(),
                               grad_of_batch, lr=lr, post_batch=post_batch,
                               log_path=log_path, epoch_losses=epoch_losses)

@@ -12,6 +12,7 @@ through subsampling and negative sampling upstream.
 
 import csv
 import os
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -253,31 +254,6 @@ def elbo_estimate(model: BsgModel, center, contexts, n_samples: int,
     return float(recon.mean()) - kl_divergence(q, model.prior_gaussian(center))
 
 
-class _Telemetry:
-    def __init__(self, path):
-        self.file = None
-        if path:
-            self.file = open(path, "w", newline="")
-            self.writer = csv.writer(self.file)
-            self.writer.writerow(["batch_index", "loss", "examples_seen"])
-
-    def row(self, batch_index, loss, examples_seen):
-        if self.file:
-            self.writer.writerow([batch_index, f"{loss:.6f}", examples_seen])
-            self.file.flush()
-
-    def close(self):
-        if self.file:
-            self.file.close()
-
-
-def _param_diagnostics(params: dict, batch_index):
-    norms = {k: float(np.linalg.norm(np.asarray(v, dtype=np.float64)))
-             for k, v in params.items()}
-    pretty = ", ".join(f"{k}={v:.3g}" for k, v in norms.items())
-    return f"batch {batch_index}; parameter norms: {pretty}"
-
-
 def data_rng(cfg: TrainConfig) -> np.random.Generator:
     """The generator feeding subsampling and negative sampling.
 
@@ -300,13 +276,13 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     batch. A non-finite window loss raises NumericalError before the batch
     touches any parameter; otherwise Adam accumulates the gradients into its
     64-bit gradient sums and steps on their mean over the batch's windows,
-    zeroing the sums as it goes. post_batch(params), when given, runs after
-    every step (used for projection/clipping). Deterministic given cfg.seed:
-    the pipeline is a single sequential pass. Telemetry CSV goes to log_path
-    or $BSG_LOG. Returns the number of steps taken. The stream subsamples and
-    draws negatives by the vocabulary's settings, so a cfg.subsample_t or
-    cfg.neg_exponent that differs from them raises ValueError, as does an lr
-    that is not finite and > 0.
+    zeroing the sums as it goes. post_batch(), when given, runs after every
+    step (the W2G projection). Deterministic given cfg.seed: the pipeline is
+    a single sequential pass. One telemetry CSV row per batch goes to
+    log_path or $BSG_LOG. Returns the number of steps taken. The stream
+    subsamples and draws negatives by the vocabulary's settings, so a
+    cfg.subsample_t or cfg.neg_exponent that differs from them raises
+    ValueError, as does an lr that is not finite and > 0.
     """
     if not (lr > 0 and np.isfinite(lr)):
         raise ValueError(f"learning rate must be finite and > 0, got {lr}")
@@ -315,10 +291,13 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                          f"{cfg.neg_exponent} disagree with the vocabulary's subsample_t="
                          f"{vocab.subsample_t}, neg_table_exponent={vocab.neg_table_exponent}")
     opt = Adam(params, lr=lr)
-    telemetry = _Telemetry(log_path or os.environ.get("BSG_LOG"))
     rng = data_rng(cfg)
     batch_idx = examples_seen = 0
-    try:
+    log_path = log_path or os.environ.get("BSG_LOG")
+    with open(log_path, "w", newline="") if log_path else nullcontext() as log:
+        if log:
+            log_csv = csv.writer(log)
+            log_csv.writerow(["batch_index", "loss", "examples_seen"])
         for _ in range(cfg.epochs):
             epoch_loss, epoch_windows = 0.0, 0
             for centers, pos, neg, mask in iter_training_batches(
@@ -326,23 +305,26 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                     cfg.batch_size, rng, lowercase=cfg.lowercase):
                 grads = grad_of_batch(centers, pos, neg, mask)
                 if not np.all(np.isfinite(grads.losses)):
-                    raise NumericalError(
-                        "non-finite loss; " + _param_diagnostics(params, batch_idx))
+                    norms = (f"{k}={np.linalg.norm(np.asarray(v, np.float64)):.3g}"
+                             for k, v in params.items())
+                    raise NumericalError(f"non-finite loss; batch {batch_idx}; "
+                                         f"parameter norms: {', '.join(norms)}")
                 opt.accumulate(grads)
                 n_windows = len(grads.losses)
                 opt.step(n_windows)
                 if post_batch is not None:
-                    post_batch(params)
+                    post_batch()
                 batch_loss = float(grads.losses.sum())
                 examples_seen += int(mask.sum()) * neg.shape[1]   # k tasks per positive
-                telemetry.row(batch_idx, batch_loss / n_windows, examples_seen)
+                if log:
+                    log_csv.writerow([batch_idx, f"{batch_loss / n_windows:.6f}",
+                                      examples_seen])
+                    log.flush()
                 batch_idx += 1
                 epoch_loss += batch_loss
                 epoch_windows += n_windows
             if epoch_losses is not None and epoch_windows:
                 epoch_losses.append(epoch_loss / epoch_windows)
-    finally:
-        telemetry.close()
     return batch_idx
 
 
