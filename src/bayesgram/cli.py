@@ -10,13 +10,14 @@ import errno
 import os
 import sys
 import tempfile
+from contextlib import nullcontext
 from functools import partial
 
 import numpy as np
 
 from . import baselines, bsg, evaluate, oracles, serialize
-from .corpus import (CorpusError, Vocabulary, build_vocabulary, iter_documents,
-                     single_window, tokenize_line)
+from .corpus import (CorpusError, Vocabulary, atomic_open, build_vocabulary, format_vocab,
+                     iter_documents, single_window, tokenize_line)
 from .evaluate import EvalError
 from .serialize import SerializationError
 
@@ -138,8 +139,9 @@ def _build_vocab(args, **subsampling):
 
 
 def _cmd_build_vocab(args):
-    vocab = _build_vocab(args)
-    vocab.save(args.out)
+    with atomic_open(args.out, encoding="utf-8", newline="\n") as f:   # before the corpus
+        vocab = _build_vocab(args)
+        f.write(format_vocab(vocab.words, vocab.counts))
     print(f"vocabulary: {len(vocab)} words, {int(vocab.counts.sum())} tokens "
           f"-> {args.out}")
 
@@ -199,28 +201,28 @@ def _cmd_eval_sim(args):
 
 
 def _cmd_eval_entail(args):
-    model = _eval_model(args.model)
-    pairs = evaluate.load_entailment_pairs(args.dataset)
-    f1, threshold, scores, labels, n_oov = evaluate.eval_entailment(
-        model, pairs, measure=args.measure)
-    print(f"f1\t{f1:.6f}")
-    print(f"threshold\t{threshold:.6g}")
-    print(f"pairs_used\t{len(scores)}")
-    print(f"pairs_oov\t{n_oov}")
-    if args.hist_out:
-        _write_histogram(args.hist_out, scores, labels, args.bins)
+    with atomic_open(args.hist_out) if args.hist_out else nullcontext() as hist:
+        model = _eval_model(args.model)
+        pairs = evaluate.load_entailment_pairs(args.dataset)
+        f1, threshold, scores, labels, n_oov = evaluate.eval_entailment(
+            model, pairs, measure=args.measure)
+        print(f"f1\t{f1:.6f}")
+        print(f"threshold\t{threshold:.6g}")
+        print(f"pairs_used\t{len(scores)}")
+        print(f"pairs_oov\t{n_oov}")
+        if hist:
+            _write_histogram(hist, scores, labels, args.bins)
 
 
-def _write_histogram(path, scores, labels, n_bins):
+def _write_histogram(f, scores, labels, n_bins):
     scores = np.asarray(scores, dtype=np.float64)
     labels = np.asarray(labels, dtype=bool)
     edges = np.histogram_bin_edges(scores, bins=n_bins)
     pos, _ = np.histogram(scores[labels], bins=edges)
     neg, _ = np.histogram(scores[~labels], bins=edges)
-    with open(path, "w") as f:
-        f.write("bin_lo,bin_hi,entailing,not_entailing\n")
-        for i in range(len(pos)):
-            f.write(f"{edges[i]:.6g},{edges[i + 1]:.6g},{pos[i]},{neg[i]}\n")
+    f.write("bin_lo,bin_hi,entailing,not_entailing\n")
+    for i in range(len(pos)):
+        f.write(f"{edges[i]:.6g},{edges[i + 1]:.6g},{pos[i]},{neg[i]}\n")
 
 
 def _cmd_eval_direction(args):
@@ -274,13 +276,11 @@ def _cmd_infer(args):
 
 
 def _cmd_report_logdet(args):
-    model = _eval_model(args.model)
+    with atomic_open(args.out) if args.out else nullcontext(sys.stdout) as out:
+        model = _eval_model(args.model)
+        evaluate.logdet_frequency_report(model, model.vocab, out=out)
     if args.out:
-        with open(args.out, "w") as f:
-            evaluate.logdet_frequency_report(model, model.vocab, out=f)
         print(f"report -> {args.out}")
-    else:
-        evaluate.logdet_frequency_report(model, model.vocab, out=sys.stdout)
 
 
 def _cmd_synth_corpus(args):

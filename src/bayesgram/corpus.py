@@ -5,7 +5,10 @@ Tokenization is whitespace split (optionally lowercased). Training windows
 never cross document boundaries.
 """
 
+import errno
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import accumulate
@@ -14,6 +17,7 @@ import numpy as np
 
 __all__ = [
     "Vocabulary",
+    "atomic_open",
     "format_vocab",
     "parse_vocab",
     "tokenize_line",
@@ -95,7 +99,7 @@ class Vocabulary:
     def save(self, path):
         """Write the vocabulary as `word<TAB>count` lines, most frequent first."""
         text = format_vocab(self.words, self.counts)
-        with open(path, "w", encoding="utf-8", newline="\n") as f:
+        with atomic_open(path, encoding="utf-8", newline="\n") as f:
             f.write(text)
 
     @classmethod
@@ -111,6 +115,35 @@ class Vocabulary:
         words, counts = parse_vocab(text.split("\n"))
         return cls(words, counts, subsample_t=subsample_t,
                    neg_table_exponent=neg_table_exponent)
+
+
+@contextmanager
+def atomic_open(path, mode="w", **kwargs):
+    """open(path, mode, **kwargs) for writing, by way of a temporary file
+    `.<name>.<pid>` beside path: it is made on entry, so an unwritable path
+    fails before any work, and renamed onto path when the block ends. On any
+    failure the temporary is removed and path left as it was. An OSError of
+    the temporary's own (naming it or no file) is raised naming path. A path
+    that exists but is no regular file, such as /dev/stdout, is written as is."""
+    path = os.fspath(path)
+    if os.path.isdir(path or "."):       # "" is refused as the current directory
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, mode, **kwargs) as f:
+            yield f
+        return
+    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}")
+    try:
+        with open(tmp, mode, **kwargs) as f:
+            yield f
+        os.replace(tmp, path)
+    except OSError as e:
+        if e.filename not in (None, tmp):    # an input's error, raised in the block
+            raise
+        raise OSError(e.errno, e.strerror, path) from None
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 def format_vocab(words, counts) -> str:

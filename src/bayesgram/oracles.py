@@ -12,6 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .corpus import atomic_open
 from .gauss import Gaussian
 
 __all__ = ["kl_quadrature_oracle", "marginal_loglik_oracle", "finite_diff_grad",
@@ -220,11 +221,11 @@ def _pick(rng, weights):
 
 def write_synth_corpus(spec: SynthSpec, text_path, tags_path=None):
     docs, tags = synth_corpus(spec)
-    with open(text_path, "w", encoding="utf-8") as f:
+    with atomic_open(text_path, encoding="utf-8") as f:
         for doc in docs:
             f.write(" ".join(doc) + "\n")
     if tags_path is not None:
-        with open(tags_path, "w", encoding="utf-8") as f:
+        with atomic_open(tags_path, encoding="utf-8") as f:
             for position, word, group in tags:
                 f.write(f"{position}\t{word}\t{group}\n")
     return docs, tags

@@ -25,7 +25,7 @@ import numpy as np
 
 from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import BsgModel
-from .corpus import Vocabulary, context_tokens, format_vocab, parse_vocab
+from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
 from .gauss import BLOCK_FLOATS, Gaussian, cosine_rows, kl_rows
 
@@ -183,6 +183,13 @@ def _text_section(head, body, lineno):
         fail(f"malformed array section header {head!r}")
     if len(shape) != ndim:
         fail(f"array section {name!r}: bad shape")
+    if dtype.kind not in "fiu":          # numbers only, as the binary reader takes
+        fail(f"array section {name!r}: dtype {parts[3]!r} is not a number type")
+
+    def cast(values):                    # a value out of the dtype's range raises
+        with np.errstate(over="raise", invalid="raise"):
+            return np.array(values, dtype=np.float64).astype(dtype, copy=False)
+
     flat = []
     for at, line in enumerate(body, lineno + 1):
         try:
@@ -194,13 +201,11 @@ def _text_section(head, body, lineno):
         fail(f"truncated array section {name!r}: got {len(flat)} of {need} values",
              lineno + 1 + len(body))
     try:
-        with np.errstate(over="raise", invalid="raise"):
-            return "array:" + name, np.array(flat, dtype=dtype).reshape(shape)
+        return "array:" + name, cast(flat).reshape(shape)
     except FloatingPointError as e:     # name the first line holding such a value
         for at, line in enumerate(body, lineno + 1):
             try:
-                with np.errstate(over="raise", invalid="raise"):
-                    np.array([float(x) for x in line.split()], dtype=dtype)
+                cast([float(x) for x in line.split()])
             except FloatingPointError:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
 
@@ -324,8 +329,9 @@ def _assemble(sections):
     """The bundle of a model file's sections, given as (name, where, value) in
     file order, `where` naming the line or byte a section starts at. The rules
     of both formats: a section appears at most once, none follows end, end,
-    header and vocab are present, the header's fields are well formed, and each
-    word table has |V| rows of dim values (one for a spherical log-variance)."""
+    header and vocab are present, the header's fields are well formed, each
+    word table has |V| rows of dim values (one for a spherical log-variance),
+    and the encoder's arrays agree with dim, cov_kind and enc_M's d_h rows."""
     found, at = {}, {}
     for name, where, value in sections:
         if "end" in found:
@@ -375,11 +381,13 @@ def _assemble(sections):
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
     bundle = ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
                          vocab=vocab, arrays=arrays, config=cfg)
+    k = 1 if cov_kind == "spherical" else dim          # log-variances per word
+    d_h = (np.shape(arrays.get("enc_M")) or (0,))[0]   # a 0-d enc_M fails its own check
+    encoder = {"enc_M": (d_h, 2 * dim), "enc_U": (dim, d_h), "enc_b1": (dim,),
+               "enc_W": (k, d_h), "enc_b2": (k,)}
     for name in REQUIRED_ARRAYS[kind]:
-        if name.startswith("enc_") and name != "enc_R":
-            continue                     # EncoderParams checks these against enc_R
-        spherical = name.endswith("log_var") and cov_kind == "spherical"
-        need = (len(vocab),) if spherical else (len(vocab), dim)
+        need = encoder.get(name, (len(vocab),) if name.endswith("log_var") and k == 1
+                           else (len(vocab), dim))
         if arrays[name].shape != need:
             raise SerializationError(f"{at['array:' + name]}: array {name!r} has shape "
                                      f"{arrays[name].shape}, expected {need}")
@@ -387,27 +395,18 @@ def _assemble(sections):
 
 
 def save_model(bundle: ModelBundle, path, mode: str = "binary"):
-    """Write the bundle to a temporary file beside path, then rename it onto
-    path: a save that fails partway leaves path as it was, and no temporary."""
+    """Write the bundle through corpus.atomic_open: a save that fails partway
+    leaves path as it was, and no temporary."""
     # formatted first: a word the format cannot hold is refused before the file opens
     vocab_text = format_vocab(bundle.vocab.words, bundle.vocab.counts)
-    if mode not in ("text", "binary"):
+    if mode == "text":
+        with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
+            _save_text(bundle, vocab_text, f)
+    elif mode == "binary":
+        with atomic_open(path, "wb") as f:
+            _save_binary(bundle, vocab_text, f)
+    else:
         raise ValueError(f"unknown mode {mode!r}")
-    path = os.fspath(path)
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}")
-    try:
-        if mode == "text":
-            with open(tmp, "w", encoding="utf-8", newline="\n") as f:
-                _save_text(bundle, vocab_text, f)
-        else:
-            with open(tmp, "wb") as f:
-                _save_binary(bundle, vocab_text, f)
-        os.replace(tmp, path)
-    except OSError as e:                 # named by the path asked for, not the temporary
-        raise OSError(e.errno, e.strerror, path) from None
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
 
 
 def load_model(path) -> ModelBundle:

@@ -98,11 +98,15 @@ def test_non_finite_loss_raises_before_the_step(stream, tmp_path):
         return batch_gradients(model, *batch, cfg)
 
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(NumericalError, match="batch 0"):
+        with pytest.raises(NumericalError, match="batch 0") as info:
             bsg.run_training_loop(tmp_path / "c.txt", vocab, cfg, params,
                                   grad_of_batch, lr=0.1)
     for n, a in params.items():
         assert np.array_equal(a, before[n]), n
+    assert str(info.value) == (
+        "non-finite loss; batch 0; parameter norms: prior_mean=0.474, "
+        "prior_log_var=2.45e+04, ctx_mean=0.379, ctx_log_var=0, enc_R=0.402, enc_M=2.01, "
+        "enc_U=1.73, enc_b1=0, enc_W=0.704, enc_b2=0")
 
 
 def test_gradients_match_finite_differences_at_k_2():

@@ -347,3 +347,16 @@ class TestTrain:
         assert first[0] == "0"
         float(first[1])
         int(first[2])
+
+    def test_bsg_log_is_the_default_path_and_log_path_wins(self, tmp_path, monkeypatch):
+        path = write_corpus(tmp_path, oracles.polysemy_spec(tokens_per_doc=200, n_docs=2))
+        vocab = build_vocabulary(iter_documents(path), 100, 1)
+        cfg = TrainConfig(dim=3, window=2, batch_size=64, learning_rate=0.01)
+        env, arg = tmp_path / "env.csv", tmp_path / "arg.csv"
+        monkeypatch.setenv("BSG_LOG", str(env))
+        train(path, vocab, cfg)
+        logged = env.read_bytes()
+        assert logged.startswith(b"batch_index,loss,examples_seen\r\n0,")
+        env.unlink()
+        train(path, vocab, cfg, log_path=arg)
+        assert arg.read_bytes() == logged and not env.exists()

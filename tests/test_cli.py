@@ -1,10 +1,18 @@
+import errno
+import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
-from bayesgram import bsg, cli
+from bayesgram import bsg, cli, corpus
 from bayesgram.cli import main
+
+
+# SHA-256 of the --log CSV of a 2-epoch run on the workdir corpus (38 lines each)
+LOG_SHA256 = {"bsg": "b8248094a7b482eadc05ea54935691bab5ba0a538be1039bb0c5c4ee711d76d4",
+              "w2g_s": "251263f2c122ccd7c1f3e574b5457e514c1c82e636052c04437bd29801cd4022"}
 
 
 @pytest.fixture(scope="module")
@@ -128,6 +136,14 @@ class TestTrain:
                      "--subsample-t", "0.01", "--log", str(log)]) == 0
         assert log.read_text().splitlines()[0] == "batch_index,loss,examples_seen"
 
+    @pytest.mark.parametrize("kind", sorted(LOG_SHA256))
+    def test_telemetry_log_bytes_are_pinned(self, workdir, tmp_path, kind):
+        log = tmp_path / "log.csv"
+        assert main(["train", str(workdir / "corpus.txt"), "--out", str(tmp_path / "m.bin"),
+                     "--model", kind, "--dim", "3", "--window", "2", "--epochs", "2",
+                     "--batch-size", "256", "--subsample-t", "0.01", "--log", str(log)]) == 0
+        assert hashlib.sha256(log.read_bytes()).hexdigest() == LOG_SHA256[kind]
+
     def test_deterministic_reruns_byte_identical(self, workdir, tmp_path):
         a, b = tmp_path / "a.bin", tmp_path / "b.bin"
         argv = ["train", str(workdir / "corpus.txt"), "--model", "bsg",
@@ -154,6 +170,44 @@ OS_ERRORS = {
         "No such file or directory: {missing}/r.csv"),
     "nearest-model-is-a-directory": (["nearest", "{out}", "mono0"], "Is a directory: {out}"),
 }
+
+
+# command -> a command line whose output {target} is entered before {input}, which
+# does not exist, is read
+EARLY_OUTPUTS = {
+    "build-vocab": ["build-vocab", "{input}", "--out", "{target}"],
+    "report-logdet": ["report-logdet", "{input}", "--out", "{target}"],
+    "eval-entail-hist-out": ["eval-entail", "{input}", "{input}", "--hist-out", "{target}"],
+    "eval-entail-hist-out-dataset": ["eval-entail", "{model}", "{input}",
+                                     "--hist-out", "{target}"],
+}
+
+# writer -> a command line writing {target}
+WRITERS = {
+    "build-vocab": ["build-vocab", "{corpus}", "--out", "{target}"],
+    "report-logdet": ["report-logdet", "{model}", "--out", "{target}"],
+    "eval-entail-hist-out": ["eval-entail", "{model}", "{entail}", "--hist-out", "{target}"],
+    "synth-corpus": ["synth-corpus", "--out", "{target}", "--docs", "2"],
+    "synth-corpus-tags": ["synth-corpus", "--out", "{other}", "--tags", "{target}",
+                          "--docs", "2"],
+}
+
+
+class PartWrite:
+    """A writable file whose first write lands, then raises ENOSPC."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
 
 
 class TestOsErrors:
@@ -188,6 +242,40 @@ class TestOsErrors:
         assert main([a.format(**paths) for a in argv]) == 2
         assert capsys.readouterr().err == f"error: {reason.format(**paths)}\n"
         assert sorted(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(EARLY_OUTPUTS))
+    @pytest.mark.parametrize("target", ["{missing}/o.csv", "{out}"])
+    def test_out_fails_before_the_input_is_read(self, workdir, tmp_path, capsys, name,
+                                                target):
+        out = tmp_path / "out"
+        out.mkdir()
+        paths = {"missing": str(tmp_path / "missing"), "out": str(out)}
+        paths["target"] = target.format(**paths)
+        reason = ("Is a directory" if target == "{out}" else "No such file or directory")
+        argv = [a.format(input=str(tmp_path / "no-input"), model=workdir / "model.bin",
+                         **paths) for a in EARLY_OUTPUTS[name]]
+        assert main(argv) == 2                  # the input is missing too, but not reached
+        assert capsys.readouterr().err == f"error: {reason}: {paths['target']}\n"
+        assert sorted(tmp_path.iterdir()) == [out] and list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("name", sorted(WRITERS))
+    def test_write_failing_partway_keeps_the_old_file(self, workdir, tmp_path, capsys,
+                                                      monkeypatch, name):
+        target = tmp_path / "t" / "target"
+        target.parent.mkdir()
+        target.write_bytes(b"old")
+
+        def part_writing_open(file, mode="r", *args, **kwargs):
+            f = open(file, mode, *args, **kwargs)
+            return PartWrite(f) if os.path.basename(file).startswith(".target.") else f
+
+        monkeypatch.setattr(corpus, "open", part_writing_open, raising=False)
+        argv = [a.format(corpus=workdir / "corpus.txt", model=workdir / "model.bin",
+                         entail=workdir / "entail.tsv", other=tmp_path / "other",
+                         target=target) for a in WRITERS[name]]
+        assert main(argv) == 2
+        assert capsys.readouterr().err == f"error: No space left on device: {target}\n"
+        assert target.read_bytes() == b"old" and list(target.parent.iterdir()) == [target]
 
     def test_train_replaces_out_and_leaves_no_temporary(self, workdir, tmp_path):
         out = tmp_path / "m.bin"

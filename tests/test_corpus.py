@@ -1,5 +1,8 @@
+import errno
 import hashlib
+import os
 import re
+import stat
 from collections import Counter
 
 import numpy as np
@@ -7,7 +10,7 @@ import pytest
 
 from bayesgram import corpus, oracles
 from bayesgram.bsg import TrainConfig, data_rng
-from bayesgram.corpus import (CorpusError, Vocabulary, build_vocabulary,
+from bayesgram.corpus import (CorpusError, Vocabulary, atomic_open, build_vocabulary,
                               iter_documents, iter_training_batches,
                               iter_training_windows, sample_negatives, subsample_stream)
 
@@ -262,6 +265,85 @@ class TestVocabularyIO:
         with pytest.raises(CorpusError, match=re.escape(repr(word))):
             v.save(tmp_path / "vocab.tsv")
         assert not (tmp_path / "vocab.tsv").exists()
+
+
+class TestAtomicOpen:
+    def test_replaces_the_target_and_leaves_no_temporary(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        with atomic_open(path) as f:
+            assert sorted(p.name for p in tmp_path.iterdir()) == [
+                f".out.txt.{os.getpid()}", "out.txt"] and path.read_text() == "old"
+            f.write("new")
+        assert path.read_text() == "new" and list(tmp_path.iterdir()) == [path]
+
+    @pytest.mark.parametrize("exc", [OSError(errno.ENOSPC, os.strerror(errno.ENOSPC)),
+                                     KeyboardInterrupt(), ValueError("bad")],
+                             ids=["oserror", "interrupt", "error"])
+    def test_failure_partway_keeps_the_old_file(self, tmp_path, exc):
+        path = tmp_path / "out.txt"
+        path.write_bytes(b"old")
+        with pytest.raises(type(exc)) as info:
+            with atomic_open(path) as f:
+                f.write("half of the new")
+                f.flush()
+                raise exc
+        assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
+        if isinstance(exc, OSError):            # no file of its own: named by the target
+            assert info.value.filename == str(path)
+
+    def test_an_input_error_keeps_its_file_name(self, tmp_path):
+        missing = tmp_path / "missing.txt"
+        with pytest.raises(FileNotFoundError) as info:
+            with atomic_open(tmp_path / "out.txt"):
+                open(missing)
+        assert info.value.filename == str(missing) and list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("target", ["dir", "missing/out.txt", ""])
+    def test_unwritable_target_fails_on_entry(self, tmp_path, monkeypatch, target):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(OSError) as info:
+            with atomic_open(target):
+                raise AssertionError("the block ran")
+        assert info.value.filename == target
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+    def test_a_pipe_is_written_as_is(self, tmp_path):
+        pipe = tmp_path / "pipe"
+        os.mkfifo(pipe)
+        reader = os.open(pipe, os.O_RDONLY | os.O_NONBLOCK)
+        try:
+            with atomic_open(pipe) as f:
+                f.write("through")
+            assert os.read(reader, 100) == b"through"
+        finally:
+            os.close(reader)
+        assert stat.S_ISFIFO(os.stat(pipe).st_mode) and list(tmp_path.iterdir()) == [pipe]
+
+    def test_vocabulary_save_failing_partway_keeps_the_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(b"old")
+
+        class Full:
+            def __init__(self, f):
+                self.f = f
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                self.f.close()
+
+            def write(self, text):
+                self.f.write(text[:1])
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(corpus, "open", lambda *a, **kw: Full(open(*a, **kw)),
+                            raising=False)
+        with pytest.raises(OSError, match=re.escape(f"No space left on device: '{path}'")):
+            build_vocabulary(["a", "b", "a"], 10, 1).save(path)
+        assert path.read_bytes() == b"old" and list(tmp_path.iterdir()) == [path]
 
 
 def stream_digest(stream):

@@ -84,3 +84,24 @@ def test_no_unreferenced_private_helper(name):
             if defined not in elsewhere:
                 orphans.append(defined)
     assert orphans == []
+
+
+def write_mode(call):
+    """The mode of an open() call when it is a string constant that can write."""
+    args = call.args[1:2] + [k.value for k in call.keywords if k.arg == "mode"]
+    mode = args[0].value if args and isinstance(args[0], ast.Constant) else ""
+    return mode if set(mode) & set("wax+") else None
+
+
+def test_outputs_are_written_through_atomic_open():
+    """Apart from the training log, which a run writes row by row as it trains,
+    every file src/ writes goes through corpus.atomic_open, so no failure leaves
+    half a file where the old one was."""
+    writers = [(name, ast.unparse(node)) for name, path in sorted(SOURCES.items())
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Call)
+               and (isinstance(node.func, ast.Name) and node.func.id == "open"
+                    and write_mode(node)
+                    or isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("write_text", "write_bytes"))]
+    assert writers == [("bsg", "open(log_path, 'w', newline='')")]

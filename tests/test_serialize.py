@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bayesgram import serialize
+from bayesgram import corpus
 from bayesgram.baselines import W2G_SETTINGS, init_sg_model, init_w2g_model
 from bayesgram.bsg import TrainConfig, init_bsg_model
 from bayesgram.cli import main
@@ -405,7 +405,20 @@ SHAPE_FAULTS = {"bsg-enc_R-short": ("bsg", "spherical", "enc_R", lambda a: a[:-1
                 "sg-out_vec-long": ("sg", "spherical", "out_vec",
                                     lambda a: np.concatenate([a, a[:1]]), (8, 3)),
                 "w2g-log_var-spherical": ("w2g", "diagonal", "log_var", lambda a: a[:, 0],
-                                          (8, 3))}
+                                          (8, 3)),
+                # the encoder's arrays, at d = 3 and enc_M's d_h = 4 rows
+                "bsg-enc_M-odd": ("bsg", "spherical", "enc_M", lambda a: a[:, :-1], (4, 6)),
+                "bsg-enc_M-narrow": ("bsg", "spherical", "enc_M", lambda a: a[:, :-2],
+                                     (4, 6)),
+                "bsg-enc_U-wide": ("bsg", "spherical", "enc_U",
+                                   lambda a: np.concatenate([a, a[:, :1]], axis=1), (3, 4)),
+                "bsg-enc_b1-long": ("bsg", "diagonal", "enc_b1",
+                                    lambda a: np.concatenate([a, a[:1]]), (3,)),
+                "bsg-enc_W-two-rows": ("bsg", "diagonal", "enc_W", lambda a: a[:2], (3, 4)),
+                "bsg-enc_W-diagonal": ("bsg", "spherical", "enc_W",
+                                       lambda a: np.concatenate([a] * 3), (1, 4)),
+                "bsg-enc_b2-two": ("bsg", "spherical", "enc_b2",
+                                   lambda a: np.concatenate([a, a]), (1,))}
 
 
 def array_place(data, name, mode):
@@ -426,6 +439,24 @@ def test_wrong_array_shape_names_line_or_byte(tmp_path, mode, case, capsys):
     save_model(bundle, path, mode)
     place = array_place(path.read_bytes(), name, mode)
     message = f"{place}: array {name!r} has shape {arr.shape}, expected {need}"
+    with pytest.raises(SerializationError, match=re.escape(message)):
+        load_model(path)
+    assert main(["nearest", str(path), "w0"]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("mode", ["text", "binary"])
+def test_zero_d_enc_m_names_line_or_byte(tmp_path, mode, capsys):
+    bundle = bundle_from_model(make_model("bsg"))
+    bundle.arrays["enc_M"] = np.ones((), np.float32)
+    path = tmp_path / f"m.{mode}"
+    save_model(bundle, path, mode)
+    data = path.read_bytes()
+    if mode == "binary":            # the writer stores a 0-d array as shape [1]
+        at = data.index(b'"shape": [1]', data.index(b"array:enc_M"))
+        data = data[:at] + b'"shape": [ ]' + data[at + 12:]
+        path.write_bytes(data)
+    message = f"{array_place(data, 'enc_M', mode)}: array 'enc_M' has shape (), expected (0, 6)"
     with pytest.raises(SerializationError, match=re.escape(message)):
         load_model(path)
     assert main(["nearest", str(path), "w0"]) == 2
@@ -561,6 +592,38 @@ class TestTextValues:
         assert main(["nearest", str(path), "w0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
+    @pytest.mark.parametrize("dtype", ["V4", "object", "U3", "S3", "bool", "complex64"])
+    def test_dtype_not_a_number_type_names_its_line(self, tmp_path, capsys, dtype):
+        path = tmp_path / "m.txt"
+        save_model(bundle_from_model(make_model("sg")), path, "text")
+        text, head = path.read_text(), "#SECTION array in_vec float32 "
+        path.write_text(text.replace(head, f"#SECTION array in_vec {dtype} "))
+        line = text.count("\n", 0, text.index(head)) + 1
+        message = f"line {line}: array section 'in_vec': dtype {dtype!r} is not a number type"
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("dtype, value", [("int64", "nan"), ("int32", "inf"),
+                                              ("int64", "-inf"), ("int16", "1e30")])
+    def test_value_an_integer_type_cannot_hold_names_its_line(self, tmp_path, capsys,
+                                                              dtype, value):
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
+        bundle.arrays["in_vec"][2, 1] = 100
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        text = path.read_text().replace("in_vec int64", f"in_vec {dtype}")
+        path.write_text(text.replace(" 100 ", f" {value} "))
+        line = text.count("\n", 0, text.index(" 100 ")) + 1
+        message = (f"line {line}: array section 'in_vec': a value does not fit {dtype}: "
+                   "invalid value encountered in cast")
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_literal_nan_and_inf_round_trip(self, tmp_path, mode):
         bundle = bundle_from_model(make_model("sg"))
@@ -600,7 +663,7 @@ class TestSaveReplacesWhole:
         path = tmp_path / f"m.{mode}"
         save_model(bundle_from_model(make_model("sg", seed=1)), path, mode)
         old = path.read_bytes()
-        monkeypatch.setattr(serialize, "open",
+        monkeypatch.setattr(corpus, "open",
                             lambda *a, **kw: FailOnSecondArray(open(*a, **kw), exc),
                             raising=False)
         with pytest.raises(type(exc)):
