@@ -123,8 +123,9 @@ def atomic_open(path, mode="w", **kwargs):
     `.<name>.<pid>` beside path: it is made on entry, so an unwritable path
     fails before any work, and renamed onto path when the block ends. On any
     failure the temporary is removed and path left as it was. An OSError of
-    the temporary's own (naming it or no file) is raised naming path. A path
-    that exists but is no regular file, such as /dev/stdout, is written as is."""
+    the temporary's own (naming it or no file) is raised naming path. As with
+    open, a symlink is written through, and a path that exists but is no
+    regular file, such as /dev/stdout, is written as it is."""
     path = os.fspath(path)
     if os.path.isdir(path or "."):       # "" is refused as the current directory
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -132,11 +133,12 @@ def atomic_open(path, mode="w", **kwargs):
         with open(path, mode, **kwargs) as f:
             yield f
         return
-    tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}")
+    target = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}")
     try:
         with open(tmp, mode, **kwargs) as f:
             yield f
-        os.replace(tmp, path)
+        os.replace(tmp, target)
     except OSError as e:
         if e.filename not in (None, tmp):    # an input's error, raised in the block
             raise

@@ -381,12 +381,13 @@ def _assemble(sections):
     arrays = {name[6:]: v for name, v in found.items() if name.startswith("array:")}
     bundle = ModelBundle(model_kind=kind, cov_kind=cov_kind, dim=dim,
                          vocab=vocab, arrays=arrays, config=cfg)
-    k = 1 if cov_kind == "spherical" else dim          # log-variances per word
+    spherical = cov_kind == "spherical"
+    k = 1 if spherical else dim                        # log-variances per density
     d_h = (np.shape(arrays.get("enc_M")) or (0,))[0]   # a 0-d enc_M fails its own check
     encoder = {"enc_M": (d_h, 2 * dim), "enc_U": (dim, d_h), "enc_b1": (dim,),
                "enc_W": (k, d_h), "enc_b2": (k,)}
     for name in REQUIRED_ARRAYS[kind]:
-        need = encoder.get(name, (len(vocab),) if name.endswith("log_var") and k == 1
+        need = encoder.get(name, (len(vocab),) if spherical and name.endswith("log_var")
                            else (len(vocab), dim))
         if arrays[name].shape != need:
             raise SerializationError(f"{at['array:' + name]}: array {name!r} has shape "

@@ -309,6 +309,15 @@ class TestAtomicOpen:
         assert info.value.filename == target
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
+    def test_a_symlink_is_written_through(self, tmp_path):
+        (tmp_path / "real.txt").write_text("old")
+        (tmp_path / "link.txt").symlink_to("real.txt")
+        with atomic_open(tmp_path / "link.txt") as f:
+            f.write("new")
+        assert (tmp_path / "real.txt").read_text() == "new"
+        assert (tmp_path / "link.txt").is_symlink()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
     def test_a_pipe_is_written_as_is(self, tmp_path):
         pipe = tmp_path / "pipe"
         os.mkfifo(pipe)

@@ -61,6 +61,19 @@ class TestRoundTrip:
             assert got.shape == arr.shape
             assert np.array_equal(got, arr)
 
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("kind", ["bsg", "w2g"])
+    @pytest.mark.parametrize("mode", ["text", "binary"])
+    def test_one_dimensional_round_trip(self, tmp_path, kind, mode, cov_kind):
+        """At d = 1 a diagonal table (V, 1) and a spherical one (V,) differ by shape only."""
+        bundle = bundle_from_model(make_model(kind, d=1, cov_kind=cov_kind))
+        path = tmp_path / f"model.{mode}"
+        save_model(bundle, path, mode)
+        loaded = load_model(path)
+        for name, arr in bundle.arrays.items():
+            assert loaded.arrays[name].shape == arr.shape
+            assert np.array_equal(loaded.arrays[name], arr)
+
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_cross_mode_agreement(self, tmp_path, kind):
         bundle = bundle_from_model(make_model(kind))
