@@ -7,6 +7,7 @@ never cross document boundaries.
 
 import errno
 import os
+import shutil
 from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -124,8 +125,9 @@ def atomic_open(path, mode="w", **kwargs):
     fails before any work, and renamed onto path when the block ends. On any
     failure the temporary is removed and path left as it was. An OSError of
     the temporary's own (naming it or no file) is raised naming path. As with
-    open, a symlink is written through, and a path that exists but is no
-    regular file, such as /dev/stdout, is written as it is."""
+    open, a symlink is written through, a file replaced keeps its mode, and a
+    path that exists but is no regular file, such as /dev/stdout, is written
+    as it is."""
     path = os.fspath(path)
     if os.path.isdir(path or "."):       # "" is refused as the current directory
         raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -137,6 +139,8 @@ def atomic_open(path, mode="w", **kwargs):
     tmp = os.path.join(os.path.dirname(target), f".{os.path.basename(target)}.{os.getpid()}")
     try:
         with open(tmp, mode, **kwargs) as f:
+            if os.path.exists(target):
+                shutil.copymode(target, tmp)
             yield f
         os.replace(tmp, target)
     except OSError as e:

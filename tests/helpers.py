@@ -1,4 +1,7 @@
-"""Shared test utilities: tiny vocabularies and perturbed models."""
+"""Shared test utilities: tiny vocabularies, perturbed models and a failing file."""
+
+import errno
+import os
 
 import numpy as np
 
@@ -23,3 +26,20 @@ def perturbed_bsg_model(vocab, cfg, rng, scale=0.2):
         arr += rng.normal(scale=scale, size=arr.shape)
     return model
 
+
+
+class PartWrite:
+    """A writable file whose first write lands, then raises ENOSPC."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.f.close()
+
+    def write(self, data):
+        self.f.write(data)
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))

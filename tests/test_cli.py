@@ -1,4 +1,3 @@
-import errno
 import hashlib
 import json
 import os
@@ -8,6 +7,8 @@ import pytest
 
 from bayesgram import bsg, cli, corpus
 from bayesgram.cli import main
+
+from helpers import PartWrite
 
 
 # SHA-256 of the --log CSV of a 2-epoch run on the workdir corpus (38 lines each)
@@ -193,23 +194,6 @@ WRITERS = {
 }
 
 
-class PartWrite:
-    """A writable file whose first write lands, then raises ENOSPC."""
-
-    def __init__(self, f):
-        self.f = f
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc_info):
-        self.f.close()
-
-    def write(self, data):
-        self.f.write(data)
-        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-
 class TestOsErrors:
     @pytest.mark.parametrize("name", sorted(OS_ERRORS))
     def test_names_reason_and_path(self, workdir, tmp_path, capsys, name):
@@ -251,7 +235,7 @@ class TestOsErrors:
         out.mkdir()
         paths = {"missing": str(tmp_path / "missing"), "out": str(out)}
         paths["target"] = target.format(**paths)
-        reason = ("Is a directory" if target == "{out}" else "No such file or directory")
+        reason = "Is a directory" if target == "{out}" else "No such file or directory"
         argv = [a.format(input=str(tmp_path / "no-input"), model=workdir / "model.bin",
                          **paths) for a in EARLY_OUTPUTS[name]]
         assert main(argv) == 2                  # the input is missing too, but not reached

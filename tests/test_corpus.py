@@ -14,7 +14,7 @@ from bayesgram.corpus import (CorpusError, Vocabulary, atomic_open, build_vocabu
                               iter_documents, iter_training_batches,
                               iter_training_windows, sample_negatives, subsample_stream)
 
-from helpers import LINE_BREAKING_WORDS
+from helpers import LINE_BREAKING_WORDS, PartWrite
 
 
 class TestBuildVocabulary:
@@ -309,6 +309,14 @@ class TestAtomicOpen:
         assert info.value.filename == target
         assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
 
+    def test_the_old_file_mode_is_kept(self, tmp_path):
+        path = tmp_path / "out.txt"
+        path.write_text("old")
+        path.chmod(0o600)
+        with atomic_open(path) as f:
+            f.write("new")
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600 and path.read_text() == "new"
+
     def test_a_symlink_is_written_through(self, tmp_path):
         (tmp_path / "real.txt").write_text("old")
         (tmp_path / "link.txt").symlink_to("real.txt")
@@ -333,22 +341,7 @@ class TestAtomicOpen:
     def test_vocabulary_save_failing_partway_keeps_the_old_file(self, tmp_path, monkeypatch):
         path = tmp_path / "vocab.tsv"
         path.write_bytes(b"old")
-
-        class Full:
-            def __init__(self, f):
-                self.f = f
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                self.f.close()
-
-            def write(self, text):
-                self.f.write(text[:1])
-                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
-
-        monkeypatch.setattr(corpus, "open", lambda *a, **kw: Full(open(*a, **kw)),
+        monkeypatch.setattr(corpus, "open", lambda *a, **kw: PartWrite(open(*a, **kw)),
                             raising=False)
         with pytest.raises(OSError, match=re.escape(f"No space left on device: '{path}'")):
             build_vocabulary(["a", "b", "a"], 10, 1).save(path)
