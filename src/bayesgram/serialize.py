@@ -126,11 +126,9 @@ def _save_text(bundle, vocab_text, f):
         arr = bundle.arrays[name]
         dims = " ".join(str(s) for s in arr.shape)
         f.write(f"#SECTION array {name} {arr.dtype.name} {arr.ndim} {dims}\n")
-        flat = np.asarray(arr, dtype=np.float64).reshape(-1)
-        cols = arr.shape[-1] if arr.ndim > 1 else len(flat)
-        cols = max(cols, 1)
-        for i in range(0, len(flat), cols):
-            f.write(" ".join(f"{x:.17g}" for x in flat[i:i + cols]) + "\n")
+        if arr.size:                     # a 0-d or 1-D array on one line
+            rows = np.asarray(arr, np.float64).reshape(-1, arr.shape[-1] if arr.ndim else 1)
+            np.savetxt(f, rows, fmt="%.17g")
     f.write("#SECTION end\n")
 
 
@@ -186,28 +184,20 @@ def _text_section(head, body, lineno):
     if dtype.kind not in "fiu":          # numbers only, as the binary reader takes
         fail(f"array section {name!r}: dtype {parts[3]!r} is not a number type")
 
-    def cast(values):                    # a value out of the dtype's range raises
-        with np.errstate(over="raise", invalid="raise"):
-            return np.array(values, dtype=np.float64).astype(dtype, copy=False)
-
-    flat = []
-    for at, line in enumerate(body, lineno + 1):
-        try:
-            flat.extend(float(x) for x in line.split())
-        except ValueError as e:
-            fail(f"array section {name!r}: {e}", at)
-    need = math.prod(shape)
-    if len(flat) != need:
-        fail(f"truncated array section {name!r}: got {len(flat)} of {need} values",
-             lineno + 1 + len(body))
-    try:
-        return "array:" + name, cast(flat).reshape(shape)
-    except FloatingPointError as e:     # name the first line holding such a value
+    rows = []
+    with np.errstate(over="raise", invalid="raise"):    # a value out of range raises
         for at, line in enumerate(body, lineno + 1):
             try:
-                cast([float(x) for x in line.split()])
-            except FloatingPointError:
+                rows.append(np.array(line.split(), dtype=np.float64).astype(dtype, copy=False))
+            except ValueError as e:
+                fail(f"array section {name!r}: {e}", at)
+            except FloatingPointError as e:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
+    got, need = sum(map(len, rows)), math.prod(shape)
+    if got != need:
+        fail(f"truncated array section {name!r}: got {got} of {need} values",
+             lineno + 1 + len(body))
+    return "array:" + name, np.concatenate([np.empty(0, dtype), *rows]).reshape(shape)
 
 
 # -------------------------------------------------------------- binary format
