@@ -59,6 +59,13 @@ class TrainConfig:
             raise ValueError(f"margin must be finite and >= 0, got {self.margin}")
         if self.batch_size < 1 or self.hidden_dim < 0:
             raise ValueError("batch_size must be >= 1 and hidden_dim >= 0")
+        if self.negatives_per_positive < 1:
+            raise ValueError(f"negatives_per_positive must be >= 1, got "
+                             f"{self.negatives_per_positive}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
+        if not (self.learning_rate > 0 and np.isfinite(self.learning_rate)):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.learning_rate}")
         if self.objective not in ("hinge", "soft"):
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.cov_kind not in ("spherical", "diagonal"):

@@ -6,10 +6,7 @@ variable sets the default training-telemetry CSV path.
 """
 
 import argparse
-import errno
-import os
 import sys
-import tempfile
 from contextlib import nullcontext
 from functools import partial
 
@@ -147,17 +144,8 @@ def _cmd_build_vocab(args):
 
 
 def _cmd_train(args):
-    # an unwritable --out fails before any reading; save_model replaces it only once whole
-    try:
-        if os.path.isdir(args.out or "."):     # "" is refused as the current directory
-            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
-        tempfile.TemporaryFile(dir=os.path.dirname(args.out) or ".").close()
-    except OSError as e:
-        raise OSError(e.errno, e.strerror, args.out) from None
-    vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
-                             neg_table_exponent=args.neg_exponent)
-             if args.vocab else _build_vocab(args, t=args.subsample_t,
-                                             neg_exponent=args.neg_exponent))
+    # a bad setting and an unwritable --out fail before any reading; --out is
+    # replaced only once the model is written whole
     cfg = bsg.TrainConfig(
         dim=args.dim, window=args.window, subsample_t=args.subsample_t,
         negatives_per_positive=args.negatives, margin=args.margin,
@@ -166,22 +154,26 @@ def _cmd_train(args):
         epochs=args.epochs, seed=args.seed, objective=args.objective,
         cov_kind=args.cov, hidden_dim=args.hidden_dim,
         neg_exponent=args.neg_exponent, lowercase=args.lowercase)
-    epoch_losses = []
-    if args.model == "bsg":
-        model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
-                          epoch_losses=epoch_losses)
-    else:
-        model = baselines.train_baseline(
-            args.model, args.corpus, vocab, cfg, log_path=args.log,
-            epoch_losses=epoch_losses, learning_rate=args.lr,
-            **({"energy_kind": args.energy} if args.model != "sg" else {}))
-    snapshot = {"model": args.model, "dim": cfg.dim, "window": cfg.window,
-                "subsample_t": cfg.subsample_t, "margin": cfg.margin,
-                "objective": cfg.objective, "epochs": cfg.epochs,
-                "seed": cfg.seed, "neg_exponent": cfg.neg_exponent,
-                "batch_size": cfg.batch_size}
-    serialize.save_model(serialize.bundle_from_model(model, snapshot),
-                         args.out, mode=args.format)
+    with serialize.model_writer(args.out, args.format) as save:
+        vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
+                                 neg_table_exponent=args.neg_exponent)
+                 if args.vocab else _build_vocab(args, t=args.subsample_t,
+                                                 neg_exponent=args.neg_exponent))
+        epoch_losses = []
+        if args.model == "bsg":
+            model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
+                              epoch_losses=epoch_losses)
+        else:
+            model = baselines.train_baseline(
+                args.model, args.corpus, vocab, cfg, log_path=args.log,
+                epoch_losses=epoch_losses, learning_rate=args.lr,
+                **({"energy_kind": args.energy} if args.model != "sg" else {}))
+        snapshot = {"model": args.model, "dim": cfg.dim, "window": cfg.window,
+                    "subsample_t": cfg.subsample_t, "margin": cfg.margin,
+                    "objective": cfg.objective, "epochs": cfg.epochs,
+                    "seed": cfg.seed, "neg_exponent": cfg.neg_exponent,
+                    "batch_size": cfg.batch_size}
+        save(serialize.bundle_from_model(model, snapshot))
     losses = ", ".join(f"{x:.4f}" for x in epoch_losses)
     print(f"trained {args.model} on {args.corpus}; epoch mean losses: [{losses}]; "
           f"model -> {args.out}")
@@ -201,6 +193,8 @@ def _cmd_eval_sim(args):
 
 
 def _cmd_eval_entail(args):
+    if args.bins < 1:                   # before the model is read
+        raise ValueError(f"--bins must be >= 1, got {args.bins}")
     with atomic_open(args.hist_out) if args.hist_out else nullcontext() as hist:
         model = _eval_model(args.model)
         pairs = evaluate.load_entailment_pairs(args.dataset)

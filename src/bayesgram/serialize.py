@@ -19,6 +19,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,8 @@ from .encoder import EncoderParams
 from .gauss import BLOCK_FLOATS, Gaussian, cosine_rows, kl_rows
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
-           "model_from_bundle", "save_model", "load_model", "EmbeddingView",
-           "embedding_view", "nearest", "infer"]
+           "model_from_bundle", "model_writer", "save_model", "load_model",
+           "EmbeddingView", "embedding_view", "nearest", "infer"]
 
 FORMAT_VERSION = 1
 MAGIC = b"BSG1"
@@ -128,6 +129,13 @@ def _save_text(bundle, vocab_text, f):
         f.write(f"#SECTION array {name} {arr.dtype.name} {arr.ndim} {dims}\n")
         if arr.size:                     # a 0-d or 1-D array on one line
             rows = np.asarray(arr, np.float64).reshape(-1, arr.shape[-1] if arr.ndim else 1)
+            if arr.dtype.kind in "iu":   # an integer float64 cannot hold would not read back
+                with np.errstate(invalid="ignore"):      # 2**63 casts back out of range
+                    bad = rows.astype(arr.dtype) != arr.reshape(rows.shape)
+                if bad.any():
+                    raise SerializationError(
+                        f"array {name!r}: {arr.dtype} value {arr.reshape(rows.shape)[bad][0]} "
+                        "has no exact text form; save it in the binary format")
             np.savetxt(f, rows, fmt="%.17g")
     f.write("#SECTION end\n")
 
@@ -179,7 +187,7 @@ def _text_section(head, body, lineno):
         shape = tuple(int(x) for x in parts[5:5 + ndim])
     except (TypeError, ValueError):
         fail(f"malformed array section header {head!r}")
-    if len(shape) != ndim:
+    if len(shape) != ndim or min(shape, default=0) < 0:
         fail(f"array section {name!r}: bad shape")
     if dtype.kind not in "fiu":          # numbers only, as the binary reader takes
         fail(f"array section {name!r}: dtype {parts[3]!r} is not a number type")
@@ -188,11 +196,14 @@ def _text_section(head, body, lineno):
     with np.errstate(over="raise", invalid="raise"):    # a value out of range raises
         for at, line in enumerate(body, lineno + 1):
             try:
-                rows.append(np.array(line.split(), dtype=np.float64).astype(dtype, copy=False))
+                values = np.array(line.split(), dtype=np.float64)
+                rows.append(values.astype(dtype, copy=False))
             except ValueError as e:
                 fail(f"array section {name!r}: {e}", at)
             except FloatingPointError as e:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
+            if dtype.kind in "iu" and np.any(rows[-1] != values):   # not whole, or wrapped
+                fail(f"array section {name!r}: a value does not fit {dtype}", at)
     got, need = sum(map(len, rows)), math.prod(shape)
     if got != need:
         fail(f"truncated array section {name!r}: got {got} of {need} values",
@@ -216,7 +227,7 @@ def _save_binary(bundle, vocab_text, f):
     section("config", json.dumps(bundle.config, sort_keys=True).encode())
     section("vocab", vocab_text.encode("utf-8"))
     for name in sorted(bundle.arrays):
-        arr = np.ascontiguousarray(bundle.arrays[name])
+        arr = np.asarray(bundle.arrays[name], order="C")    # a 0-d array stays 0-d
         meta = json.dumps({"dtype": arr.dtype.name, "shape": list(arr.shape)},
                           sort_keys=True).encode()
         data = arr.astype(arr.dtype.newbyteorder("<"), copy=False).reshape(-1)
@@ -385,19 +396,25 @@ def _assemble(sections):
     return bundle
 
 
-def save_model(bundle: ModelBundle, path, mode: str = "binary"):
-    """Write the bundle through corpus.atomic_open: a save that fails partway
-    leaves path as it was, and no temporary."""
-    # formatted first: a word the format cannot hold is refused before the file opens
-    vocab_text = format_vocab(bundle.vocab.words, bundle.vocab.counts)
-    if mode == "text":
-        with atomic_open(path, "w", encoding="utf-8", newline="\n") as f:
-            _save_text(bundle, vocab_text, f)
-    elif mode == "binary":
-        with atomic_open(path, "wb") as f:
-            _save_binary(bundle, vocab_text, f)
-    else:
+@contextmanager
+def model_writer(path, mode: str = "binary"):
+    """save(bundle), writing a bundle to path in mode through corpus.atomic_open,
+    entered here: an unwritable path fails before any work, and path is
+    replaced only when the block ends without error."""
+    if mode not in ("text", "binary"):
         raise ValueError(f"unknown mode {mode!r}")
+    text = mode == "text"
+    how = {"mode": "w", "encoding": "utf-8", "newline": "\n"} if text else {"mode": "wb"}
+    with atomic_open(path, **how) as f:
+        yield lambda bundle: (_save_text if text else _save_binary)(
+            bundle, format_vocab(bundle.vocab.words, bundle.vocab.counts), f)
+
+
+def save_model(bundle: ModelBundle, path, mode: str = "binary"):
+    """Write the bundle through model_writer: a save that fails partway leaves
+    path as it was, and no temporary."""
+    with model_writer(path, mode) as save:
+        save(bundle)
 
 
 def load_model(path) -> ModelBundle:

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import json
 import os
@@ -5,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from bayesgram import bsg, cli, corpus
+from bayesgram import bsg, cli, corpus, serialize
 from bayesgram.cli import main
 
 from helpers import PartWrite
@@ -115,7 +116,9 @@ class TestTrain:
         ("--neg-exponent", "nan", "negative-sampling exponent must be finite, got nan"),
         ("--neg-exponent", "inf", "negative-sampling exponent must be finite, got inf"),
         ("--neg-exponent", "2000",
-         "negative-sampling exponent 2000.0 under- or overflows the sampling probabilities")])
+         "negative-sampling exponent 2000.0 under- or overflows the sampling probabilities"),
+        ("--negatives", "0", "negatives_per_positive must be >= 1, got 0"),
+        ("--seed", "-1", "seed must be >= 0, got -1")])
     @pytest.mark.parametrize("kind", ["bsg", "sg", "w2g_s"])
     def test_out_of_range_setting(self, workdir, tmp_path, capsys, kind, flag, value,
                                   message):
@@ -128,6 +131,40 @@ class TestTrain:
         captured = capsys.readouterr()
         assert captured.err == f"error: {message}\n"
         assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("flag, value", [
+        ("--negatives", "0"), ("--seed", "-1"), ("--window", "0"), ("--dim", "0"),
+        ("--batch-size", "0"), ("--lr", "nan"), ("--out", "{tmp}"),
+        ("--out", "{tmp}/missing/m.bin")])
+    def test_bad_setting_fails_before_the_corpus_is_read(self, workdir, tmp_path, capsys,
+                                                         monkeypatch, flag, value):
+        reads, read = [], corpus.iter_documents
+
+        def counted(*args, **kwargs):
+            reads.append(args[0])
+            return read(*args, **kwargs)
+
+        monkeypatch.setattr(corpus, "iter_documents", counted)
+        monkeypatch.setattr(cli, "iter_documents", counted)
+        argv = ["train", str(workdir / "corpus.txt"), "--out", str(tmp_path / "m.bin"),
+                "--dim", "3", "--window", "2", "--epochs", "0"]
+        assert main(argv + [flag, value.format(tmp=tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert reads == [] and captured.out == "" and captured.err.startswith("error: ")
+        assert list(tmp_path.iterdir()) == []
+        assert main(argv) == 0 and reads        # the counter sees a good run's reads
+
+    def test_defaults_match_train_config(self):
+        """Each default train shares with TrainConfig is written twice; they agree."""
+        args = cli._build_parser().parse_args(["train", "c", "--out", "o"])
+        fields = {"dim": "dim", "window": "window", "subsample_t": "subsample_t",
+                  "negatives": "negatives_per_positive", "margin": "margin",
+                  "batch_size": "batch_size", "epochs": "epochs", "seed": "seed",
+                  "objective": "objective", "cov": "cov_kind", "hidden_dim": "hidden_dim",
+                  "neg_exponent": "neg_exponent", "lowercase": "lowercase"}
+        defaults = {f.name: f.default for f in dataclasses.fields(bsg.TrainConfig)}
+        assert ({option: getattr(args, option) for option in fields}
+                == {option: defaults[name] for option, name in fields.items()})
 
     def test_telemetry_log(self, workdir, tmp_path):
         log = tmp_path / "log.csv"
@@ -300,6 +337,19 @@ class TestEvalCommands:
         lines = hist.read_text().splitlines()
         assert lines[0] == "bin_lo,bin_hi,entailing,not_entailing"
         assert len(lines) == 6
+
+    @pytest.mark.parametrize("bins", ["0", "-3"])
+    def test_eval_entail_bins_below_one_refused_before_any_work(
+            self, workdir, tmp_path, capsys, monkeypatch, bins):
+        def untouchable(*_args, **_kw):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(serialize, "load_model", untouchable)
+        assert main(["eval-entail", str(workdir / "model.bin"), str(workdir / "entail.tsv"),
+                     "--hist-out", str(tmp_path / "hist.csv"), "--bins", bins]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --bins must be >= 1, got {bins}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_eval_direction(self, workdir, capsys):
         assert main(["eval-direction", str(workdir / "model.bin"),

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bayesgram import corpus
 from bayesgram.baselines import W2G_SETTINGS, init_sg_model, init_w2g_model
@@ -588,6 +589,13 @@ class TestSectionLikeWords:
             load_model(path)
 
 
+# (dtype, value, what follows the message): a value no cast can make, then one
+# that casts with no flag raised but would not read back as written
+INTEGER_FAULTS = [(dtype, value, ": invalid value encountered in cast") for dtype, value in
+                  [("int64", "nan"), ("int32", "inf"), ("int64", "-inf"), ("int16", "1e30")]]
+INTEGER_FAULTS += [("int8", "300", ""), ("uint8", "-1", ""), ("int64", "1.5", "")]
+
+
 class TestTextValues:
     def test_value_overflowing_its_dtype_names_its_line(self, tmp_path, capsys):
         bundle = bundle_from_model(make_model("sg"))
@@ -618,10 +626,10 @@ class TestTextValues:
         assert main(["nearest", str(path), "w0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("dtype, value", [("int64", "nan"), ("int32", "inf"),
-                                              ("int64", "-inf"), ("int16", "1e30")])
+    @pytest.mark.parametrize("dtype, value, reason", INTEGER_FAULTS,
+                             ids=[f"{dtype}-{value}" for dtype, value, _ in INTEGER_FAULTS])
     def test_value_an_integer_type_cannot_hold_names_its_line(self, tmp_path, capsys,
-                                                              dtype, value):
+                                                              dtype, value, reason):
         bundle = bundle_from_model(make_model("sg"))
         bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
         bundle.arrays["in_vec"][2, 1] = 100
@@ -630,12 +638,37 @@ class TestTextValues:
         text = path.read_text().replace("in_vec int64", f"in_vec {dtype}")
         path.write_text(text.replace(" 100 ", f" {value} "))
         line = text.count("\n", 0, text.index(" 100 ")) + 1
-        message = (f"line {line}: array section 'in_vec': a value does not fit {dtype}: "
-                   "invalid value encountered in cast")
+        message = f"line {line}: array section 'in_vec': a value does not fit {dtype}{reason}"
         with pytest.raises(SerializationError, match=re.escape(message)):
             load_model(path)
         assert main(["nearest", str(path), "w0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
+
+    def test_negative_dimension_names_its_line(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        save_model(bundle_from_model(make_model("sg")), path, "text")
+        text, head = path.read_text(), "#SECTION array in_vec float32 2 8 3\n"
+        path.write_text(text.replace(head, "#SECTION array in_vec float32 2 -4 -6\n"))
+        line = text.count("\n", 0, text.index(head)) + 1
+        message = f"line {line}: array section 'in_vec': bad shape"
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("dtype, value", [("int64", 2 ** 53 + 1), ("int64", 2 ** 63 - 1),
+                                              ("uint64", 2 ** 64 - 1)])
+    def test_writer_refuses_an_integer_float64_cannot_hold(self, tmp_path, dtype, value):
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["big"] = np.array([[0, value]], dtype=dtype)
+        message = (f"array 'big': {dtype} value {value} has no exact text form; "
+                   "save it in the binary format")
+        with pytest.raises(SerializationError, match=re.escape(message)):
+            save_model(bundle, tmp_path / "m.txt", "text")
+        assert list(tmp_path.iterdir()) == []
+        save_model(bundle, tmp_path / "m.bin")
+        np.testing.assert_array_equal(load_model(tmp_path / "m.bin").arrays["big"],
+                                      bundle.arrays["big"])
 
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_literal_nan_and_inf_round_trip(self, tmp_path, mode):
@@ -755,6 +788,75 @@ def test_saved_bytes_are_pinned(tmp_path, mode):
     path = tmp_path / f"m.{mode}"
     save_model(golden_bundle(), path, mode)
     assert hashlib.sha256(path.read_bytes()).hexdigest() == GOLDEN_SHA256[mode]
+
+
+def text_shapes_bundle():
+    """Arrays of 0-3 dimensions, empty ones, special floats and integers."""
+    vocab = Vocabulary(["a", "bé", "c"], [5, 3, 1])
+    arrays = {"in_vec": (np.arange(6, dtype=np.float32).reshape(3, 2) - 2.5) / 3,
+              "out_vec": np.array([[np.nan, np.inf], [-np.inf, -0.0],
+                                   [5e-324, 1.7976931348623157e308]]),
+              "scalar": np.float64(np.pi).reshape(()),
+              "ints": np.array([-(2 ** 53), -1, 0, 7, 2 ** 53], dtype=np.int64),
+              "bytes": np.array([[-128, 127, 0]], dtype=np.int8),
+              "cube": np.arange(24, dtype=np.float32).reshape(2, 3, 4) / 7,
+              "empty": np.zeros((0, 3)), "empty_cols": np.zeros((2, 0), dtype=np.float32)}
+    return ModelBundle("sg", "none", 2, vocab, arrays, {"seed": 0})
+
+
+def test_text_arrays_of_every_shape_are_pinned(tmp_path):
+    """The text writer's bytes beyond what trained models hold, as saved before
+    the writer became one np.savetxt per array."""
+    path = tmp_path / "m.txt"
+    save_model(text_shapes_bundle(), path, "text")
+    assert (hashlib.sha256(path.read_bytes()).hexdigest()
+            == "251b8a1c515eb92ce6f114be46f1ce03a7ad9fff4e47f63f1a5a6e6fdc9dbaea")
+
+
+def round_trip_array(dtype):
+    """Arrays of 0-3 dimensions, each of 0-3 entries; int64 within the
+    +-2**53 that the text format holds exactly."""
+    elements = {"int64": st.integers(-(2 ** 53), 2 ** 53)}.get(dtype)
+    return hnp.arrays(dtype, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=3),
+                      elements=elements)
+
+
+@st.composite
+def round_trip_bundles(draw):
+    words = draw(st.lists(st.text(st.characters(blacklist_characters="\t\n"), max_size=6),
+                          min_size=1, max_size=5, unique=True))
+    counts = draw(st.lists(st.integers(1, 2 ** 40), min_size=len(words),
+                           max_size=len(words)))
+    dim = draw(st.integers(1, 3))
+    arrays = {"in_vec": draw(hnp.arrays(np.float32, (len(words), dim))),
+              "out_vec": draw(hnp.arrays(np.float64, (len(words), dim)))}
+    for i, dtype in enumerate(draw(st.lists(st.sampled_from(
+            ["float32", "float64", "int8", "int64"]), max_size=4))):
+        arrays[f"x{i}"] = draw(round_trip_array(dtype))
+    json_values = st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) \
+        | st.text()
+    config = draw(st.dictionaries(st.text().map("k_".__add__), json_values, max_size=3))
+    return ModelBundle("sg", "none", dim, Vocabulary(words, counts), arrays, config)
+
+
+@pytest.mark.parametrize("mode", ["text", "binary"])
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(bundle=round_trip_bundles())
+def test_any_bundle_round_trips(tmp_path_factory, mode, bundle):
+    """Equal arrays (NaN equal to NaN, though text keeps no NaN's sign; the
+    sign of a zero kept), dtypes, words, counts and config, in both formats."""
+    path = tmp_path_factory.mktemp("round_trip") / f"m.{mode}"
+    save_model(bundle, path, mode)
+    got = load_model(path)
+    assert got.vocab.words == bundle.vocab.words and got.config == bundle.config
+    np.testing.assert_array_equal(got.vocab.counts, bundle.vocab.counts)
+    assert sorted(got.arrays) == sorted(bundle.arrays)
+    for name, want in bundle.arrays.items():
+        have = got.arrays[name]
+        assert have.dtype == want.dtype and have.shape == want.shape, name
+        np.testing.assert_array_equal(have, want)
+        number = ~np.isnan(want) if want.dtype.kind == "f" else ...
+        assert np.array_equal(np.signbit(have[number]), np.signbit(want[number])), name
 
 
 @pytest.mark.parametrize("kind", ALL_KINDS)
