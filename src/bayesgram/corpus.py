@@ -228,6 +228,8 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
         raise ValueError("min_count must be >= 1")
     if not t > 0:
         raise ValueError(f"subsampling t must be > 0, got {t}")
+    if not np.isfinite(neg_exponent):
+        raise ValueError(f"negative-sampling exponent must be finite, got {neg_exponent}")
     counts = Counter()
     for item in token_stream:
         if isinstance(item, str):

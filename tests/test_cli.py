@@ -134,15 +134,16 @@ class TestTrain:
 
     @pytest.mark.parametrize("flag, value", [
         ("--negatives", "0"), ("--seed", "-1"), ("--window", "0"), ("--dim", "0"),
-        ("--batch-size", "0"), ("--lr", "nan"), ("--out", "{tmp}"),
-        ("--out", "{tmp}/missing/m.bin")])
+        ("--batch-size", "0"), ("--lr", "nan"), ("--subsample-t", "0"),
+        ("--neg-exponent", "nan"), ("--out", "{tmp}"), ("--out", "{tmp}/missing/m.bin")])
     def test_bad_setting_fails_before_the_corpus_is_read(self, workdir, tmp_path, capsys,
                                                          monkeypatch, flag, value):
         reads, read = [], corpus.iter_documents
 
-        def counted(*args, **kwargs):
-            reads.append(args[0])
-            return read(*args, **kwargs)
+        def counted(*args, **kwargs):         # each document read
+            for doc in read(*args, **kwargs):
+                reads.append(doc)
+                yield doc
 
         monkeypatch.setattr(corpus, "iter_documents", counted)
         monkeypatch.setattr(cli, "iter_documents", counted)
