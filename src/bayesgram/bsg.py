@@ -28,7 +28,7 @@ from .optim import Adam
 
 __all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
            "init_bsg_model", "reparameterize", "gather_rows", "blockwise", "margin_pairs",
-           "batch_gradients", "elbo_estimate", "train"]
+           "batch_gradients", "elbo_estimate", "open_log", "train"]
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -274,6 +274,15 @@ def init_rng(cfg: TrainConfig) -> np.random.Generator:
     return np.random.default_rng([cfg.seed, 2])
 
 
+def open_log(log_path=None):
+    """The telemetry CSV as a context: log_path itself if it is an open file
+    (left open), else the path log_path or $BSG_LOG opened for writing, else None."""
+    if hasattr(log_path, "write"):
+        return nullcontext(log_path)
+    log_path = log_path or os.environ.get("BSG_LOG")
+    return open(log_path, "w", newline="") if log_path else nullcontext()
+
+
 def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
                       params: dict, grad_of_batch, lr: float,
                       post_batch=None, log_path=None, epoch_losses=None):
@@ -286,7 +295,7 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     zeroing the sums as it goes. post_batch(), when given, runs after every
     step (the W2G projection). Deterministic given cfg.seed: the pipeline is
     a single sequential pass. One telemetry CSV row per batch goes to
-    log_path or $BSG_LOG. Returns the number of steps taken. The stream
+    open_log(log_path). Returns the number of steps taken. The stream
     subsamples and draws negatives by the vocabulary's settings, so a
     cfg.subsample_t or cfg.neg_exponent that differs from them raises
     ValueError, as does an lr that is not finite and > 0.
@@ -300,8 +309,7 @@ def run_training_loop(corpus_path, vocab: Vocabulary, cfg: TrainConfig,
     opt = Adam(params, lr=lr)
     rng = data_rng(cfg)
     batch_idx = examples_seen = 0
-    log_path = log_path or os.environ.get("BSG_LOG")
-    with open(log_path, "w", newline="") if log_path else nullcontext() as log:
+    with open_log(log_path) as log:
         if log:
             log_csv = csv.writer(log)
             log_csv.writerow(["batch_index", "loss", "examples_seen"])

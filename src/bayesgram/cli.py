@@ -144,8 +144,8 @@ def _cmd_build_vocab(args):
 
 
 def _cmd_train(args):
-    # a bad setting and an unwritable --out fail before any reading; --out is
-    # replaced only once the model is written whole
+    # a bad setting and an unwritable --out or --log fail before any reading;
+    # --out is replaced only once the model is written whole
     cfg = bsg.TrainConfig(
         dim=args.dim, window=args.window, subsample_t=args.subsample_t,
         negatives_per_positive=args.negatives, margin=args.margin,
@@ -154,18 +154,19 @@ def _cmd_train(args):
         epochs=args.epochs, seed=args.seed, objective=args.objective,
         cov_kind=args.cov, hidden_dim=args.hidden_dim,
         neg_exponent=args.neg_exponent, lowercase=args.lowercase)
-    with serialize.model_writer(args.out, args.format) as save:
+    with (serialize.model_writer(args.out, args.format) as save,
+          bsg.open_log(args.log) as log):
         vocab = (Vocabulary.load(args.vocab, subsample_t=args.subsample_t,
                                  neg_table_exponent=args.neg_exponent)
                  if args.vocab else _build_vocab(args, t=args.subsample_t,
                                                  neg_exponent=args.neg_exponent))
         epoch_losses = []
         if args.model == "bsg":
-            model = bsg.train(args.corpus, vocab, cfg, log_path=args.log,
+            model = bsg.train(args.corpus, vocab, cfg, log_path=log,
                               epoch_losses=epoch_losses)
         else:
             model = baselines.train_baseline(
-                args.model, args.corpus, vocab, cfg, log_path=args.log,
+                args.model, args.corpus, vocab, cfg, log_path=log,
                 epoch_losses=epoch_losses, learning_rate=args.lr,
                 **({"energy_kind": args.energy} if args.model != "sg" else {}))
         snapshot = {"model": args.model, "dim": cfg.dim, "window": cfg.window,

@@ -123,12 +123,14 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cosine_rows(u, v):
-    """Cosine along the last axis, broadcasting; every row sums the same way."""
-    nu = np.sqrt(np.sum(u * u, axis=-1))
-    nv = np.sqrt(np.sum(v * v, axis=-1))
-    if np.any(nu == 0.0) or np.any(nv == 0.0):
+    """Cosine along the last axis, broadcasting. Each of the row sums u.u, v.v
+    and u.v is one einsum over the last axis, with no broadcast product, so a
+    row gets the same bits alone, in any block, or broadcast against a table."""
+    nu = np.sqrt(np.einsum("...i,...i->...", u, u))
+    nv = np.sqrt(np.einsum("...i,...i->...", v, v))
+    if (nu == 0.0).any() or (nv == 0.0).any():
         raise ValueError("undefined cosine: zero vector")
-    return np.clip(np.sum(u * v, axis=-1) / (nu * nv), -1.0, 1.0)
+    return (np.einsum("...i,...i->...", u, v) / (nu * nv)).clip(-1.0, 1.0)
 
 
 def log_det_cov(g: Gaussian) -> float:

@@ -195,6 +195,12 @@ def _text_section(head, body, lineno):
     rows = []
     with np.errstate(over="raise", invalid="raise"):    # a value out of range raises
         for at, line in enumerate(body, lineno + 1):
+            if dtype.kind in "iu":       # whole numbers in range parse exactly as dtype
+                try:
+                    rows.append(np.array(line.split(), dtype=dtype))
+                    continue
+                except (ValueError, OverflowError):
+                    pass                 # the float64 parse below names the fault
             try:
                 values = np.array(line.split(), dtype=np.float64)
                 rows.append(values.astype(dtype, copy=False))
@@ -461,7 +467,7 @@ class EmbeddingView:
 
 def _finite(rows):
     rows = np.asarray(rows, dtype=np.float64)
-    if not np.all(np.isfinite(rows)):
+    if not np.isfinite(rows).all():
         raise ValueError("embedding parameters must be finite")
     return rows
 
@@ -485,8 +491,8 @@ def embedding_view(source) -> EmbeddingView:
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
     """Top-k neighbors of `word` by cosine of means or by negated KL, scored in
-    float64 blocks (see BLOCK_FLOATS). Ties order by word id; the query
-    itself is excluded."""
+    float64 blocks (see BLOCK_FLOATS). The top k are found by partition, then
+    sorted; ties order by word id, and the query itself is excluded."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -503,7 +509,12 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
         scores = [-kl_rows(q_mu, q_lv, mu, lv)
                   for mu, lv in view.blocks(view.density_rows)]
     scores = np.concatenate(scores)
-    order = np.argsort(-scores, kind="stable")      # best first, ties by word id
+    keys = -scores                  # ascending, NaN last, as a stable argsort orders them
+    n = min(k + 1, len(keys))       # k words besides the query
+    kth = np.partition(keys, n - 1)[n - 1]
+    # every word at or above the k-th best; all of them if it is NaN (too few numbers)
+    top = np.arange(len(keys)) if math.isnan(kth) else (keys <= kth).nonzero()[0]
+    order = top[np.argsort(keys[top], kind="stable")]     # best first, ties by word id
     return [(view.vocab.word(i), float(scores[i])) for i in order[order != qid][:k]]
 
 

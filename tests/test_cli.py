@@ -135,7 +135,8 @@ class TestTrain:
     @pytest.mark.parametrize("flag, value", [
         ("--negatives", "0"), ("--seed", "-1"), ("--window", "0"), ("--dim", "0"),
         ("--batch-size", "0"), ("--lr", "nan"), ("--subsample-t", "0"),
-        ("--neg-exponent", "nan"), ("--out", "{tmp}"), ("--out", "{tmp}/missing/m.bin")])
+        ("--neg-exponent", "nan"), ("--out", "{tmp}"), ("--out", "{tmp}/missing/m.bin"),
+        ("--log", "{tmp}/missing/x.csv")])
     def test_bad_setting_fails_before_the_corpus_is_read(self, workdir, tmp_path, capsys,
                                                          monkeypatch, flag, value):
         reads, read = [], corpus.iter_documents

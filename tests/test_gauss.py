@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bayesgram.gauss import (Gaussian, cosine, kl_divergence, kl_parts, kl_rows,
-                             log_density, log_density_rows, log_det_cov)
+from bayesgram.gauss import (Gaussian, cosine, cosine_rows, kl_divergence, kl_parts,
+                             kl_rows, log_density, log_density_rows, log_det_cov)
 from bayesgram.oracles import kl_quadrature_oracle
 
 
@@ -107,6 +107,25 @@ class TestCosine:
     def test_zero_vector(self):
         with pytest.raises(ValueError, match="undefined cosine"):
             cosine([0.0, 0.0], [1.0, 0.0])
+
+    @pytest.mark.parametrize("d", [1, 5, 100, 101])
+    def test_one_cosine_per_row(self, d):
+        """A row's cosine has the same bits alone, in any block, and broadcast
+        as add_mult_baseline broadcasts candidates against a table."""
+        rng = np.random.default_rng(d)
+        u, v = rng.normal(size=(2, 14, d))
+        alone = np.array([cosine_rows(u[i], v[i]) for i in range(14)])
+        for n in (1, 3, 7):
+            blocks = np.concatenate([cosine_rows(u[lo:lo + n], v[lo:lo + n])
+                                     for lo in range(0, 14, n)])
+            assert blocks.tobytes() == alone.tobytes()
+        table = cosine_rows(u[:5, None, :], v)             # (C, 1, d) against (R, d)
+        pairs = np.array([[cosine_rows(a, b) for b in v] for a in u[:5]])
+        assert table.shape == (5, 14) and table.tobytes() == pairs.tobytes()
+        assert np.diagonal(table).tobytes() == alone[:5].tobytes()
+        nu, nv = np.sqrt(np.sum(u * u, axis=-1)), np.sqrt(np.sum(v * v, axis=-1))
+        summed = np.clip(np.sum(u * v, axis=-1) / (nu * nv), -1.0, 1.0)   # the sum form
+        np.testing.assert_allclose(alone, summed, rtol=1e-12, atol=0)
 
 
 class TestLogDetCov:

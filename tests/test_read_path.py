@@ -129,6 +129,12 @@ def density_model(kind, cov_kind, V=12, d=5, seed=0):
     return model
 
 
+def density_tables(model):
+    """(means, log-variances) of a bsg prior or a w2g model, the tables nearest reads."""
+    return ((model.prior_mean, model.prior_log_var) if hasattr(model, "prior_mean")
+            else (model.mean, model.log_var))
+
+
 DENSITY_KINDS = [("bsg", "spherical"), ("bsg", "diagonal"),
                  ("w2g", "spherical"), ("w2g", "diagonal")]
 MEASURES = ["cosine_mean", "neg_kl"]
@@ -208,6 +214,51 @@ class TestNearest:
         got = check_nearest(model, "w0", 10, measure)
         tied = [w for w, s in got if s == dict(got)["w2"]]
         assert tied == ["w2", "w3", "w4", "w5", "w9"]
+
+    @pytest.mark.parametrize("kind,cov_kind", DENSITY_KINDS)
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_every_k_across_tied_blocks(self, kind, cov_kind, measure, monkeypatch):
+        """The top k by partition is the prefix of the full stable sort for
+        every k, including each k that cuts the tie group w2 w3 w4 w5 w9."""
+        model = density_model(kind, cov_kind, V=11, d=5)
+        for table in density_tables(model):
+            table[[3, 4, 5, 9]] = table[2]     # blocks of 2 rows: 2-3 | 4-5 | ...
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * 5)
+        tie, cuts = {"w2", "w3", "w4", "w5", "w9"}, 0
+        for k in range(1, 13):
+            got = check_nearest(model, "w0", k, measure)
+            assert len(got) == min(k, 10)
+            cuts += 0 < len(tie.intersection(w for w, _ in got)) < len(tie)
+        assert cuts == 4
+
+    @pytest.mark.parametrize("kind", ["bsg", "w2g"])
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_overflowed_kl_orders_as_a_stable_sort(self, kind, measure, monkeypatch):
+        """A query log-variance of 705 overflows the KL to inf against w6 and
+        w7 (log-variance -10), and to NaN against w8 and w10 (log-variance
+        -800 where their mean equals the query's): those words score -inf,
+        then NaN, after every finite score, each group by word id."""
+        model = density_model(kind, "diagonal", V=11, d=5)
+        mean, lv = density_tables(model)
+        mean[[3, 4, 5, 9]] = mean[2]
+        lv[[3, 4, 5, 9]] = lv[2]
+        lv[0, :2] = 705.0
+        lv[[6, 7], 0] = -10.0
+        lv[[8, 10], 1] = -800.0
+        mean[[8, 10], 1] = mean[0, 1]
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * 5)
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = nearest_oracle(model, 0, 10, measure)
+            want.sort(key=lambda t: (np.isnan(t[1]), 0.0 if np.isnan(t[1]) else -t[1], t[0]))
+            for k in range(1, 13):
+                got = nearest(bundle_from_model(model), "w0", k, measure)
+                assert [w for w, _ in got] == [f"w{i}" for i, _ in want[:k]]
+                np.testing.assert_allclose([s for _, s in got], [s for _, s in want[:k]],
+                                           rtol=1e-12, atol=0)
+        if measure == "neg_kl":
+            assert [w for w, _ in got[6:]] == ["w6", "w7", "w8", "w10"]
+            assert [s for _, s in got[6:8]] == [-np.inf, -np.inf]
+            assert np.isnan([s for _, s in got[8:]]).all()
 
     @pytest.mark.parametrize("block_floats", [1, 3, 7, 10 ** 6])
     def test_block_size_does_not_change_the_result(self, block_floats, monkeypatch):

@@ -670,6 +670,21 @@ class TestTextValues:
         np.testing.assert_array_equal(load_model(tmp_path / "m.bin").arrays["big"],
                                       bundle.arrays["big"])
 
+    @pytest.mark.parametrize("dtype, value", [("int64", 2 ** 53 + 1), ("int64", 2 ** 63 - 1),
+                                              ("int64", -2 ** 63), ("uint64", 2 ** 64 - 1)])
+    def test_integer_float64_cannot_hold_loads_exactly(self, tmp_path, dtype, value):
+        """A hand-edited integer line is parsed as its section's dtype, not
+        through float64, so a value beyond 2**53 loads as written."""
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"] = np.arange(24, dtype=dtype).reshape(8, 3)
+        bundle.arrays["in_vec"][2, 1] = 100
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        path.write_text(path.read_text().replace(" 100 ", f" {value} "))
+        got = load_model(path).arrays["in_vec"]
+        assert got.dtype == dtype and int(got[2, 1]) == value
+        assert np.count_nonzero(got != bundle.arrays["in_vec"]) == 1
+
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_literal_nan_and_inf_round_trip(self, tmp_path, mode):
         bundle = bundle_from_model(make_model("sg"))
