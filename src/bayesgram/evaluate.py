@@ -295,7 +295,7 @@ def logdet_frequency_report(model, vocab, out=None):
     view = embedding_view(model)
     log_counts = np.log(vocab.counts)
     log_dets = np.concatenate([np.sum(np.broadcast_to(lv, mu.shape), axis=1)
-                               for mu, lv in view.blocks(view.density_rows)])
+                               for _, (mu, lv) in view.blocks(view.density_rows)])
     rows = list(zip(vocab.words, log_counts.tolist(), log_dets.tolist()))
     try:
         r = pearson(log_counts[:len(rows)], log_dets[:len(rows)])

@@ -11,13 +11,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BLOCK_FLOATS", "Gaussian", "kl_divergence", "kl_rows", "kl_parts", "fold",
-           "log_density", "log_density_rows", "cosine", "cosine_rows", "log_det_cov"]
+__all__ = ["BLOCK_FLOATS", "ROW_SUM", "Gaussian", "kl_divergence", "kl_rows", "kl_parts",
+           "fold", "log_density", "log_density_rows", "cosine", "cosine_rows", "cosine_finish",
+           "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # float64 values per temporary of a blockwise pass: 96 KB, under glibc's 128 KB mmap threshold
 BLOCK_FLOATS = 12_288
+ROW_SUM = "...i,...i->..."      # the einsum of a row sum along the last axis
 
 
 @dataclass(frozen=True)
@@ -36,7 +38,7 @@ class Gaussian:
             raise ValueError("log_var must be a scalar or a 1-D vector")
         if self.log_var.ndim == 1 and self.log_var.shape[0] != self.mean.shape[0]:
             raise ValueError("diagonal log_var length must match mean dimension")
-        if not (np.all(np.isfinite(self.mean)) and np.all(np.isfinite(self.log_var))):
+        if not (np.isfinite(self.mean).all() and np.isfinite(self.log_var).all()):
             raise ValueError("Gaussian parameters must be finite")
 
     @property
@@ -65,13 +67,23 @@ def kl_divergence(p: Gaussian, q: Gaussian) -> float:
 
 
 def _kl_terms(mu1, lv1, mu2, lv2):
-    """The KL value of kl_rows and the terms kl_parts reuses for its partials."""
+    """kl_rows's value and the terms kl_parts reuses: the formula's operations in
+    its order, each into a temporary of its result's shape (five arrays, same bits)."""
     dmu = mu1 - mu2
-    inv2 = np.exp(-lv2)
-    ratio = np.exp(lv1 - lv2)
-    mahal = dmu * dmu * inv2
-    val = 0.5 * np.sum(ratio + mahal - 1.0 + lv2 - lv1, axis=-1)
-    return val, dmu, inv2, ratio, mahal
+    inv2 = -lv2
+    np.exp(inv2, out=inv2)
+    ratio = lv1 - lv2
+    np.exp(ratio, out=ratio)
+    mahal = dmu * dmu
+    try:
+        np.multiply(mahal, inv2, out=mahal, casting="no")
+    except (TypeError, ValueError):     # inv2 widens the shape or the dtype
+        mahal = mahal * inv2
+    acc = ratio + mahal
+    acc -= 1.0
+    acc += lv2
+    acc -= lv1
+    return 0.5 * np.sum(acc, axis=-1), dmu, inv2, ratio, mahal
 
 
 def kl_rows(mu1, lv1, mu2, lv2):
@@ -123,14 +135,18 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cosine_rows(u, v):
-    """Cosine along the last axis, broadcasting. Each of the row sums u.u, v.v
-    and u.v is one einsum over the last axis, with no broadcast product, so a
-    row gets the same bits alone, in any block, or broadcast against a table."""
-    nu = np.sqrt(np.einsum("...i,...i->...", u, u))
-    nv = np.sqrt(np.einsum("...i,...i->...", v, v))
-    if (nu == 0.0).any() or (nv == 0.0).any():
+    """Cosine along the last axis, broadcasting: the row sums u.v, u.u and v.v,
+    each one ROW_SUM einsum with no broadcast product, then cosine_finish. So
+    a row gets the same bits alone, in any block, or broadcast against a table."""
+    return cosine_finish(*(np.einsum(ROW_SUM, a, b) for a, b in ((u, v), (u, u), (v, v))))
+
+
+def cosine_finish(uv, uu, vv):
+    """The cosine from its row sums u.v, u.u and v.v; a zero row raises."""
+    nu, nv = np.sqrt(uu), np.sqrt(vv)
+    if not (nu.all() and nv.all()):
         raise ValueError("undefined cosine: zero vector")
-    return (np.einsum("...i,...i->...", u, v) / (nu * nv)).clip(-1.0, 1.0)
+    return (uv / (nu * nv)).clip(-1.0, 1.0)
 
 
 def log_det_cov(g: Gaussian) -> float:

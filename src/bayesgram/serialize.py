@@ -21,6 +21,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import BsgModel
 from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
-from .gauss import BLOCK_FLOATS, Gaussian, cosine_rows, kl_rows
+from .gauss import BLOCK_FLOATS, ROW_SUM, Gaussian, cosine_finish, kl_rows
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
            "model_from_bundle", "model_writer", "save_model", "load_model",
@@ -208,7 +209,11 @@ def _text_section(head, body, lineno):
                 fail(f"array section {name!r}: {e}", at)
             except FloatingPointError as e:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
-            if dtype.kind in "iu" and np.any(rows[-1] != values):   # not whole, or wrapped
+            # an integer reads back as written: whole, not wrapped, and within 2**53
+            # as written, past which float64 may have rounded it
+            if dtype.kind in "iu" and (np.any(rows[-1] != values) or (
+                    np.any(abs(values) >= 2.0 ** 53)
+                    and max(abs(Decimal(t)) for t in line.split()) > 2 ** 53)):
                 fail(f"array section {name!r}: a value does not fit {dtype}", at)
     got, need = sum(map(len, rows)), math.prod(shape)
     if got != need:
@@ -460,16 +465,16 @@ class EmbeddingView:
         return _finite(self.means[ids]), _finite(self.log_vars[ids])
 
     def blocks(self, rows):
-        """rows(block) over consecutive blocks of BLOCK_FLOATS // d words."""
-        n = max(1, BLOCK_FLOATS // self.means.shape[1])
-        return (rows(slice(lo, lo + n)) for lo in range(0, len(self.means), n))
+        """(block, rows(block)) over consecutive slices of BLOCK_FLOATS // d words."""
+        n, V = max(1, BLOCK_FLOATS // self.means.shape[1]), len(self.means)
+        return ((s, rows(s)) for s in map(slice, range(0, V, n), range(n, V + n, n)))
 
 
 def _finite(rows):
-    rows = np.asarray(rows, dtype=np.float64)
-    if not np.isfinite(rows).all():
+    cast = np.asarray(rows, dtype=np.float64)  # checked as stored unless the cast may overflow
+    if not np.isfinite(cast if rows.dtype.itemsize > 8 else rows).all():
         raise ValueError("embedding parameters must be finite")
-    return rows
+    return cast
 
 
 def embedding_view(source) -> EmbeddingView:
@@ -490,9 +495,9 @@ def embedding_view(source) -> EmbeddingView:
 
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
-    """Top-k neighbors of `word` by cosine of means or by negated KL, scored in
-    float64 blocks (see BLOCK_FLOATS). The top k are found by partition, then
-    sorted; ties order by word id, and the query itself is excluded."""
+    """Top-k neighbors of `word` by cosine of means (row sums, finished once) or
+    negated KL, written by float64 blocks (see BLOCK_FLOATS) into table-long arrays.
+    The top k by partition, then sorted; ties by word id; the query is excluded."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -501,14 +506,20 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
     qid = view.vocab.lookup(word)
     if qid is None:
         raise KeyError(f"word {word!r} out of vocabulary")
+    scores, vv = np.empty((2, len(view.means)))
     if measure == "cosine_mean":
         q = view.mean_rows(qid)
-        scores = [cosine_rows(q, m) for m in view.blocks(view.mean_rows)]
+        qq = np.einsum(ROW_SUM, q, q)
+        if not qq:                      # before the table is scanned
+            raise ValueError("undefined cosine: zero vector")
+        for s, m in view.blocks(view.mean_rows):
+            np.einsum(ROW_SUM, q, m, out=scores[s])
+            np.einsum(ROW_SUM, m, m, out=vv[s])
+        scores = cosine_finish(scores, qq, vv)
     else:
         q_mu, q_lv = view.density_rows(qid)
-        scores = [-kl_rows(q_mu, q_lv, mu, lv)
-                  for mu, lv in view.blocks(view.density_rows)]
-    scores = np.concatenate(scores)
+        for s, (mu, lv) in view.blocks(view.density_rows):
+            np.negative(kl_rows(q_mu, q_lv, mu, lv), out=scores[s])
     keys = -scores                  # ascending, NaN last, as a stable argsort orders them
     n = min(k + 1, len(keys))       # k words besides the query
     kth = np.partition(keys, n - 1)[n - 1]

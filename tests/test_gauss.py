@@ -1,8 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from bayesgram.gauss import (Gaussian, cosine, cosine_rows, kl_divergence, kl_parts,
+from bayesgram.gauss import (Gaussian, cosine, cosine_rows, fold, kl_divergence, kl_parts,
                              kl_rows, log_density, log_density_rows, log_det_cov)
 from bayesgram.oracles import kl_quadrature_oracle
 
@@ -170,6 +173,63 @@ def test_one_kl_value_with_and_without_partials(lv_width):
     mu2, lv2 = rng.normal(size=(40, 3, 6)), rng.normal(size=(40, 3, lv_width))
     assert np.array_equal(kl_rows(mu1, lv1, mu2, lv2), kl_parts(mu1, lv1, mu2, lv2)[0])
     assert np.array_equal(kl_rows(mu2, lv2, mu1, lv1), kl_parts(mu2, lv2, mu1, lv1)[0])
+
+
+def kl_formula(mu1, lv1, mu2, lv2, partials=True):
+    """The KL, and its partials, as one expression per term, each operation on
+    a fresh array: the oracle for the in-place terms of kl_rows and kl_parts."""
+    dmu = mu1 - mu2
+    inv2 = np.exp(-lv2)
+    ratio = np.exp(lv1 - lv2)
+    mahal = dmu * dmu * inv2
+    val = 0.5 * np.sum(ratio + mahal - 1.0 + lv2 - lv1, axis=-1)
+    if not partials:
+        return val
+    d = dmu.shape[-1]
+    return (val, dmu * inv2, fold(0.5 * (ratio - 1.0), lv1, d),
+            fold(0.5 * (1.0 - ratio - mahal), lv2, d))
+
+
+@st.composite
+def kl_inputs(draw):
+    """(mu1, lv1, mu2, lv2): means (..., d), log-variances (..., 1) or (..., d)
+    in [-30, 30], with leading axes of any broadcastable count and size."""
+    d = draw(st.integers(1, 5))
+    lead = draw(hnp.mutually_broadcastable_shapes(num_shapes=4, max_dims=3,
+                                                  max_side=3)).input_shapes
+    widths = (d, draw(st.sampled_from([1, d])), d, draw(st.sampled_from([1, d])))
+    return tuple(draw(hnp.arrays(np.float64, s + (w,), elements=st.floats(-b, b)))
+                 for s, w, b in zip(lead, widths, (10.0, 30.0, 10.0, 30.0)))
+
+
+def outcome(f, args):
+    """f(*args) and the RuntimeWarnings it raised, in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with np.errstate(all="warn", under="ignore"):
+            got = f(*args)
+    return got, [(w.category, str(w.message)) for w in caught]
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(kl_inputs())
+@example((np.zeros(3), np.zeros(1), np.ones(3),         # lv2 has more leading axes than
+          np.linspace(-2.0, 2.0, 12).reshape(2, 2, 3)))  # the means, and widens mahal
+@example((np.zeros((2, 3)), np.array([[800.0], [-800.0]]), np.zeros((1, 3)),
+          np.array([-800.0, 0.0, 800.0])))              # inf and NaN terms, with warnings
+def test_in_place_kl_terms_match_the_formula(args):
+    want, want_warned = outcome(kl_formula, args)
+    got, warned = outcome(kl_parts, args)
+    assert warned == want_warned
+    assert [same_bits(a, b) for a, b in zip(got, want)] == [True] * 4
+    want, want_warned = outcome(lambda *a: kl_formula(*a, partials=False), args)
+    got, warned = outcome(kl_rows, args)
+    assert warned == want_warned and same_bits(got, want)
 
 
 def test_log_density_rows_spherical_column():

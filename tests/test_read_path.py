@@ -18,7 +18,7 @@ from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
                                 eval_directionality, eval_entailment,
                                 eval_similarity, lexsub_rank,
                                 logdet_frequency_report)
-from bayesgram.gauss import Gaussian, cosine, kl_divergence, log_det_cov
+from bayesgram.gauss import Gaussian, cosine, cosine_rows, kl_divergence, log_det_cov
 from bayesgram.serialize import (SerializationError, bundle_from_model,
                                  embedding_view, nearest)
 
@@ -298,6 +298,63 @@ class TestNearest:
             model.log_var[29] = bad
             with pytest.raises(ValueError, match="finite"):
                 nearest(bundle_from_model(model), "w1", 3, measure)
+
+
+class TestNearestBySums:
+    """Cosine nearest writes the row sums q.v and v.v of each block into two
+    table-long arrays and finishes the cosine once over them."""
+
+    @pytest.mark.parametrize("kind,cov_kind", DENSITY_KINDS)
+    @pytest.mark.parametrize("d", [5, 101])    # a long row sums in another order than a short
+    def test_scores_are_cosine_rows_bit_for_bit(self, kind, cov_kind, d, monkeypatch):
+        model = density_model(kind, cov_kind, V=11, d=d)
+        mean, _ = density_tables(model)
+        mean[[3, 4, 5, 9]] = mean[2]           # blocks of 2 rows: 2-3 | 4-5 | ... | 8-9
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * d)
+        table = mean.astype(np.float64)
+        want = cosine_rows(table[0], table)
+        order = sorted(range(1, 11), key=lambda i: (-want[i], i))
+        tied = [i for i in order if want[i] == want[2]]
+        assert tied == [2, 3, 4, 5, 9]
+        for k in range(1, 13):
+            got = nearest(bundle_from_model(model), "w0", k)
+            assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
+            assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
+
+    def test_zero_query_raises_before_the_table_is_scanned(self, monkeypatch):
+        model = density_model("w2g", "diagonal", V=11, d=5)
+        model.mean[0] = 0.0
+        model.mean[1, 2] = np.nan              # in the first block: a scan raises "finite"
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * 5)
+        with pytest.raises(ValueError, match="^undefined cosine: zero vector$"):
+            nearest(bundle_from_model(model), "w0", 3)
+
+    @pytest.mark.parametrize("zero, bad, message",
+                             [(8, None, "undefined cosine: zero vector"),
+                              (2, 8, "embedding parameters must be finite"),
+                              (8, 2, "embedding parameters must be finite")])
+    def test_zero_row_and_non_finite_row(self, zero, bad, message, monkeypatch):
+        """The whole table is checked finite before the one cosine finish, so
+        a non-finite row is named whichever block holds the zero row."""
+        model = density_model("w2g", "diagonal", V=11, d=5)
+        model.mean[zero] = 0.0
+        if bad is not None:
+            model.mean[bad, 3] = np.inf
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * 5)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            nearest(bundle_from_model(model), "w0", 3)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).max <= np.finfo(np.float64).max,
+                        reason="longdouble is float64 here")
+    @pytest.mark.parametrize("measure", MEASURES)
+    def test_wide_float_past_float64_is_not_finite(self, measure):
+        """Rows are checked finite as stored, except a float wider than
+        float64, whose value may overflow the cast to float64."""
+        model = density_model("w2g", "diagonal", V=11, d=5)
+        model.mean = model.mean.astype(np.longdouble)
+        model.mean[7, 1] = np.longdouble("1e400")
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="finite"):
+            nearest(bundle_from_model(model), "w0", 3, measure)
 
 
 # -------------------------------------------------------------------- evals

@@ -685,6 +685,35 @@ class TestTextValues:
         assert got.dtype == dtype and int(got[2, 1]) == value
         assert np.count_nonzero(got != bundle.arrays["in_vec"]) == 1
 
+    @pytest.mark.parametrize("value", ["9007199254740993.0", "9.007199254740993e15",
+                                       "-9007199254740993.0", "9007199254740994.0"])
+    def test_integer_float64_may_have_rounded_names_its_line(self, tmp_path, capsys, value):
+        """A value that is not an integer literal is read through float64; past
+        2**53 in magnitude float64 may have rounded it, so it is refused."""
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
+        bundle.arrays["in_vec"][2, 1] = 100
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        text = path.read_text()
+        path.write_text(text.replace(" 100 ", f" {value} "))
+        line = text.count("\n", 0, text.index(" 100 ")) + 1
+        message = f"line {line}: array section 'in_vec': a value does not fit int64"
+        with pytest.raises(SerializationError, match=re.escape(message) + "$"):
+            load_model(path)
+        assert main(["nearest", str(path), "w0"]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+    @pytest.mark.parametrize("value", ["9007199254740992.0", "-9.007199254740992e15", "1e15"])
+    def test_integer_float64_holds_exactly_loads(self, tmp_path, value):
+        bundle = bundle_from_model(make_model("sg"))
+        bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
+        bundle.arrays["in_vec"][2, 1] = 100
+        path = tmp_path / "m.txt"
+        save_model(bundle, path, "text")
+        path.write_text(path.read_text().replace(" 100 ", f" {value} "))
+        assert int(load_model(path).arrays["in_vec"][2, 1]) == int(float(value))
+
     @pytest.mark.parametrize("mode", ["text", "binary"])
     def test_literal_nan_and_inf_round_trip(self, tmp_path, mode):
         bundle = bundle_from_model(make_model("sg"))
