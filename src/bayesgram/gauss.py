@@ -11,15 +11,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["BLOCK_FLOATS", "ROW_SUM", "Gaussian", "kl_divergence", "kl_rows", "kl_parts",
-           "fold", "log_density", "log_density_rows", "cosine", "cosine_rows", "cosine_finish",
-           "log_det_cov"]
+__all__ = ["BLOCK_FLOATS", "Gaussian", "kl_divergence", "kl_rows", "kl_parts", "fold",
+           "log_density", "log_density_rows", "cosine", "cosine_rows", "row_sums", "norms",
+           "cosine_finish", "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
 # float64 values per temporary of a blockwise pass: 96 KB, under glibc's 128 KB mmap threshold
 BLOCK_FLOATS = 12_288
-ROW_SUM = "...i,...i->..."      # the einsum of a row sum along the last axis
 
 
 @dataclass(frozen=True)
@@ -68,17 +67,13 @@ def kl_divergence(p: Gaussian, q: Gaussian) -> float:
 
 def _kl_terms(mu1, lv1, mu2, lv2):
     """kl_rows's value and the terms kl_parts reuses: the formula's operations in
-    its order, each into a temporary of its result's shape (five arrays, same bits)."""
+    its order, the exps and the sum in place (six arrays, not eleven; same bits)."""
     dmu = mu1 - mu2
     inv2 = -lv2
     np.exp(inv2, out=inv2)
     ratio = lv1 - lv2
     np.exp(ratio, out=ratio)
-    mahal = dmu * dmu
-    try:
-        np.multiply(mahal, inv2, out=mahal, casting="no")
-    except (TypeError, ValueError):     # inv2 widens the shape or the dtype
-        mahal = mahal * inv2
+    mahal = dmu * dmu * inv2
     acc = ratio + mahal
     acc -= 1.0
     acc += lv2
@@ -135,17 +130,28 @@ def cosine(u: np.ndarray, v: np.ndarray) -> float:
 
 
 def cosine_rows(u, v):
-    """Cosine along the last axis, broadcasting: the row sums u.v, u.u and v.v,
-    each one ROW_SUM einsum with no broadcast product, then cosine_finish. So
-    a row gets the same bits alone, in any block, or broadcast against a table."""
-    return cosine_finish(*(np.einsum(ROW_SUM, a, b) for a, b in ((u, v), (u, u), (v, v))))
+    """Cosine along the last axis, broadcasting: the row sums u.v, u.u and v.v
+    (see row_sums), the norms, then cosine_finish."""
+    return cosine_finish(row_sums(u, v), norms(row_sums(u, u)), norms(row_sums(v, v)))
 
 
-def cosine_finish(uv, uu, vv):
-    """The cosine from its row sums u.v, u.u and v.v; a zero row raises."""
-    nu, nv = np.sqrt(uu), np.sqrt(vv)
-    if not (nu.all() and nv.all()):
+def row_sums(a, b, out=None):
+    """Sums of a * b along the last axis, broadcasting: one einsum with no
+    broadcast product, so a row gets the same bits alone, in any block, or
+    broadcast against a table."""
+    return np.einsum("...i,...i->...", a, b, out=out)
+
+
+def norms(uu):
+    """The norms from row sums u.u; a zero row raises, as its cosine is undefined."""
+    nu = np.sqrt(uu)
+    if not nu.all():
         raise ValueError("undefined cosine: zero vector")
+    return nu
+
+
+def cosine_finish(uv, nu, nv):
+    """The cosine from the row sums u.v and the norms of u and v."""
     return (uv / (nu * nv)).clip(-1.0, 1.0)
 
 

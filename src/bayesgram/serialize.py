@@ -29,7 +29,7 @@ from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import BsgModel
 from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
-from .gauss import BLOCK_FLOATS, ROW_SUM, Gaussian, cosine_finish, kl_rows
+from .gauss import BLOCK_FLOATS, Gaussian, cosine_finish, kl_rows, norms, row_sums
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
            "model_from_bundle", "model_writer", "save_model", "load_model",
@@ -209,11 +209,10 @@ def _text_section(head, body, lineno):
                 fail(f"array section {name!r}: {e}", at)
             except FloatingPointError as e:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
-            # an integer reads back as written: whole, not wrapped, and within 2**53
-            # as written, past which float64 may have rounded it
-            if dtype.kind in "iu" and (np.any(rows[-1] != values) or (
-                    np.any(abs(values) >= 2.0 ** 53)
-                    and max(abs(Decimal(t)) for t in line.split()) > 2 ** 53)):
+            # an integer reads back exactly as written: not fractional, not wrapped,
+            # and not rounded by the float64 parse
+            if dtype.kind in "iu" and any(Decimal(t) != r for t, r in
+                                          zip(line.split(), rows[-1].tolist())):
                 fail(f"array section {name!r}: a value does not fit {dtype}", at)
     got, need = sum(map(len, rows)), math.prod(shape)
     if got != need:
@@ -506,16 +505,15 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
     qid = view.vocab.lookup(word)
     if qid is None:
         raise KeyError(f"word {word!r} out of vocabulary")
-    scores, vv = np.empty((2, len(view.means)))
+    scores = np.empty(len(view.means))
     if measure == "cosine_mean":
         q = view.mean_rows(qid)
-        qq = np.einsum(ROW_SUM, q, q)
-        if not qq:                      # before the table is scanned
-            raise ValueError("undefined cosine: zero vector")
+        nq = norms(row_sums(q, q))      # a zero query raises before the table is scanned
+        vv = np.empty(len(view.means))
         for s, m in view.blocks(view.mean_rows):
-            np.einsum(ROW_SUM, q, m, out=scores[s])
-            np.einsum(ROW_SUM, m, m, out=vv[s])
-        scores = cosine_finish(scores, qq, vv)
+            row_sums(q, m, out=scores[s])
+            row_sums(m, m, out=vv[s])
+        scores = cosine_finish(scores, nq, norms(vv))
     else:
         q_mu, q_lv = view.density_rows(qid)
         for s, (mu, lv) in view.blocks(view.density_rows):

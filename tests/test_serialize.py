@@ -686,10 +686,11 @@ class TestTextValues:
         assert np.count_nonzero(got != bundle.arrays["in_vec"]) == 1
 
     @pytest.mark.parametrize("value", ["9007199254740993.0", "9.007199254740993e15",
-                                       "-9007199254740993.0", "9007199254740994.0"])
-    def test_integer_float64_may_have_rounded_names_its_line(self, tmp_path, capsys, value):
-        """A value that is not an integer literal is read through float64; past
-        2**53 in magnitude float64 may have rounded it, so it is refused."""
+                                       "-9007199254740993.0", "4503599627370496.5",
+                                       "9007199254740991.5"])
+    def test_integer_float64_has_rounded_names_its_line(self, tmp_path, capsys, value):
+        """A value that is not an integer literal is read through float64; if
+        that rounded it, it is refused, though the rounded value is whole."""
         bundle = bundle_from_model(make_model("sg"))
         bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
         bundle.arrays["in_vec"][2, 1] = 100
@@ -704,7 +705,8 @@ class TestTextValues:
         assert main(["nearest", str(path), "w0"]) == 2
         assert capsys.readouterr().err == f"error: {message}\n"
 
-    @pytest.mark.parametrize("value", ["9007199254740992.0", "-9.007199254740992e15", "1e15"])
+    @pytest.mark.parametrize("value", ["9007199254740992.0", "-9.007199254740992e15", "1e15",
+                                       "9007199254740994.0"])
     def test_integer_float64_holds_exactly_loads(self, tmp_path, value):
         bundle = bundle_from_model(make_model("sg"))
         bundle.arrays["in_vec"] = np.arange(24, dtype=np.int64).reshape(8, 3)
