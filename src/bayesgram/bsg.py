@@ -26,9 +26,11 @@ from .encoder import encoder_backward  # noqa: F401  (perfbench probes it here)
 from .gauss import BLOCK_FLOATS, Gaussian, kl_divergence, kl_parts, log_density_rows
 from .optim import Adam
 
-__all__ = ["TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
+__all__ = ["PARAM_DTYPES", "TrainConfig", "BsgModel", "NumericalError", "BatchGrads",
            "init_bsg_model", "reparameterize", "gather_rows", "blockwise", "margin_pairs",
            "batch_gradients", "elbo_estimate", "open_log", "train"]
+
+PARAM_DTYPES = (np.dtype(np.float32), np.dtype(np.float64))   # of every model table
 
 class NumericalError(Exception):
     """Training produced a non-finite loss."""
@@ -70,6 +72,8 @@ class TrainConfig:
             raise ValueError(f"unknown objective {self.objective!r}")
         if self.cov_kind not in ("spherical", "diagonal"):
             raise ValueError(f"unknown cov_kind {self.cov_kind!r}")
+        if np.dtype(self.param_dtype) not in PARAM_DTYPES:
+            raise ValueError(f"param_dtype must be float32 or float64, got {self.param_dtype!r}")
 
     @property
     def d_h(self) -> int:

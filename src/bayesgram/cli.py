@@ -235,14 +235,12 @@ def _cmd_eval_direction(args):
 def _cmd_eval_lexsub(args):
     model = _eval_model(args.model)
     insts = evaluate.load_lexsub_instances(args.dataset)
+    rank = (evaluate.lexsub_rank if args.ranker == "posterior"
+            else partial(evaluate.add_mult_baseline, mode=args.ranker))
     gaps, skipped = [], 0
     for inst in insts:
         try:
-            if args.ranker == "posterior":
-                ranked = evaluate.lexsub_rank(model, inst, args.window)
-            else:
-                ranked = evaluate.add_mult_baseline(model, inst, args.window,
-                                                    mode=args.ranker)
+            ranked = rank(model, inst, args.window)
         except EvalError:
             skipped += 1
             continue

@@ -21,6 +21,7 @@ __all__ = [
     "atomic_open",
     "format_vocab",
     "parse_vocab",
+    "read_utf8",
     "tokenize_line",
     "iter_documents",
     "build_vocabulary",
@@ -53,11 +54,7 @@ class Vocabulary:
             raise CorpusError("empty corpus")
         if np.any(self.counts <= 0):
             raise ValueError("counts must be positive")
-        if not self.subsample_t > 0:
-            raise ValueError(f"subsampling t must be > 0, got {self.subsample_t}")
-        if not np.isfinite(self.neg_table_exponent):
-            raise ValueError("negative-sampling exponent must be finite, got "
-                             f"{self.neg_table_exponent}")
+        _check_sampling(self.subsample_t, self.neg_table_exponent)
         self._index = dict(zip(self.words, range(len(self.words))))
         if len(self._index) != len(self.words):    # a repeat's later id overwrote it
             repeated = next(w for i, w in enumerate(self.words) if self._index[w] != i)
@@ -105,17 +102,27 @@ class Vocabulary:
 
     @classmethod
     def load(cls, path, subsample_t=1e-4, neg_table_exponent=1.0):
-        with open(path, "rb") as f:
-            data = f.read()
-        try:
-            text = data.decode("utf-8")
-        except UnicodeDecodeError as e:
-            lineno = data.count(b"\n", 0, e.start) + 1
-            raise CorpusError(f"non-UTF-8 vocabulary line {lineno} "
-                              f"at byte offset {e.start}") from None
-        words, counts = parse_vocab(text.split("\n"))
+        words, counts = parse_vocab(read_utf8(path, "vocabulary").split("\n"))
         return cls(words, counts, subsample_t=subsample_t,
                    neg_table_exponent=neg_table_exponent)
+
+
+def _check_sampling(t, neg_exponent):
+    if not t > 0:
+        raise ValueError(f"subsampling t must be > 0, got {t}")
+    if not np.isfinite(neg_exponent):
+        raise ValueError(f"negative-sampling exponent must be finite, got {neg_exponent}")
+
+
+def read_utf8(path, what, error=CorpusError):
+    """The text of a UTF-8 file; a byte that is not raises error naming its line and offset."""
+    with open(path, "rb") as f:
+        data = f.read()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        lineno = data.count(b"\n", 0, e.start) + 1
+        raise error(f"non-UTF-8 {what} line {lineno} at byte offset {e.start}") from None
 
 
 @contextmanager
@@ -226,10 +233,7 @@ def build_vocabulary(token_stream, max_size: int, min_count: int,
         raise ValueError("max_size must be >= 1")
     if min_count < 1:
         raise ValueError("min_count must be >= 1")
-    if not t > 0:
-        raise ValueError(f"subsampling t must be > 0, got {t}")
-    if not np.isfinite(neg_exponent):
-        raise ValueError(f"negative-sampling exponent must be finite, got {neg_exponent}")
+    _check_sampling(t, neg_exponent)
     counts = Counter()
     for item in token_stream:
         if isinstance(item, str):

@@ -12,12 +12,15 @@ densities (W2G: its densities; SG: its input vectors, cosine only) except
 lexical substitution, which ranks by KL from the inferred posterior.
 """
 
+import io
 import json
+import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
-from .corpus import context_tokens
+from .corpus import context_tokens, read_utf8
 from .gauss import cosine_rows, kl_rows
 from .serialize import SerializationError, embedding_view
 
@@ -79,11 +82,7 @@ def _ranks(xs):
 
 def spearman(xs, ys) -> float:
     """Spearman rank correlation with average-rank tie handling."""
-    if len(xs) != len(ys):
-        raise ValueError("length mismatch")
-    if len(xs) < 2:
-        raise ValueError("need at least 2 points")
-    return pearson(_ranks(xs), _ranks(ys))      # constant input: EvalError
+    return pearson(_ranks(xs), _ranks(ys))      # pearson checks lengths and constancy
 
 
 def pearson(xs, ys) -> float:
@@ -103,9 +102,11 @@ def pearson(xs, ys) -> float:
 
 
 def _pair_ids(vocab, pairs):
-    """(in-vocabulary pairs, their word-id arrays i and j, number skipped)."""
+    """(in-vocabulary pairs, their word-id arrays i and j, number skipped); none: EvalError."""
     ids = [(p, vocab.lookup(p.word1), vocab.lookup(p.word2)) for p in pairs]
     used = [t for t in ids if t[1] is not None and t[2] is not None]
+    if not used:
+        raise EvalError(f"no usable pairs ({len(ids)} out of vocabulary)")
     i, j = (np.array([t[c] for t in used], dtype=np.intp) for c in (1, 2))
     return [t[0] for t in used], i, j, len(ids) - len(used)
 
@@ -118,8 +119,6 @@ def eval_similarity(model, pairs):
     """
     view = embedding_view(model)
     used, i, j, n_oov = _pair_ids(view.vocab, pairs)
-    if not used:
-        raise EvalError(f"no usable pairs ({n_oov} out of vocabulary)")
     scores = cosine_rows(view.mean_rows(i), view.mean_rows(j))
     return spearman(scores, [p.gold for p in used]), len(used), n_oov
 
@@ -161,8 +160,6 @@ def eval_entailment(model, pairs, measure: str = "neg_kl"):
         raise ValueError(f"unknown measure {measure!r}")
     view = embedding_view(model)
     used, i, j, n_oov = _pair_ids(view.vocab, pairs)
-    if not used:
-        raise EvalError(f"no usable pairs ({n_oov} out of vocabulary)")
     if measure == "neg_kl":
         scores = -kl_rows(*view.density_rows(i), *view.density_rows(j))
     else:
@@ -181,8 +178,6 @@ def eval_directionality(model, pairs):
     """
     view = embedding_view(model)
     used, i, j, _ = _pair_ids(view.vocab, pairs)
-    if not used:
-        raise EvalError("no usable pairs")
     p1, p2 = view.density_rows(i), view.density_rows(j)
     return int(np.sum(kl_rows(*p1, *p2) <= kl_rows(*p2, *p1))) / len(used)
 
@@ -193,8 +188,6 @@ def frequency_direction_baseline(vocab, pairs):
     Returns (accuracy, n_used, n_skipped); count ties predict w1 -> w2.
     """
     used, i, j, skipped = _pair_ids(vocab, pairs)
-    if not used:
-        raise EvalError("no usable pairs")
     return int(np.sum(vocab.counts[i] <= vocab.counts[j])) / len(used), len(used), skipped
 
 
@@ -240,19 +233,14 @@ def gap(ranked_gold_weights, all_gold_weights) -> float:
     order; all_gold_weights is the full gold weight multiset (including any
     gold items the system never ranked, which count in the denominator).
     """
-    gold_sorted = sorted((w for w in all_gold_weights), reverse=True)
+    gold_sorted = sorted(all_gold_weights, reverse=True)
     n_pos = sum(1 for w in gold_sorted if w > 0)
     if n_pos == 0:
         raise EvalError("no positive gold weights")
-    denom = 0.0
-    csum = 0.0
-    for j, w in enumerate(gold_sorted[:n_pos], start=1):
-        csum += w
+    denom = num = 0.0
+    for j, csum in enumerate(accumulate(gold_sorted[:n_pos]), start=1):
         denom += csum / j
-    num = 0.0
-    csum = 0.0
-    for i, w in enumerate(ranked_gold_weights, start=1):
-        csum += w
+    for i, (csum, w) in enumerate(zip(accumulate(ranked_gold_weights), ranked_gold_weights), 1):
         if w > 0:
             num += csum / i
     return num / denom
@@ -309,43 +297,59 @@ def logdet_frequency_report(model, vocab, out=None):
     return rows, r
 
 
-def _tsv_rows(path, what, valid=lambda parts: True):
-    """The tab-separated fields of each non-blank line, three per line."""
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            parts = line.strip().split("\t")
-            if parts == [""]:
-                continue
-            if len(parts) != 3 or not valid(parts):
-                raise EvalError(f"malformed {what} line {lineno}: {line.strip()!r}")
-            yield parts
+def _tsv_rows(path, what, parse):
+    """(word1, word2, parse(field 3)) of each non-blank line; a line is malformed unless
+    it has three tab-separated fields and parse reads its third as a finite number."""
+    lines = io.StringIO(read_utf8(path, what, EvalError), newline=None)   # as open() splits
+    for lineno, line in enumerate(lines, 1):
+        parts = line.strip().split("\t")
+        if parts == [""]:
+            continue
+        try:
+            a, b, y = parts
+            if not math.isfinite(y := parse(y)):
+                raise ValueError
+        except ValueError:
+            raise EvalError(f"malformed {what} line {lineno}: {line.strip()!r}") from None
+        yield a, b, y
 
 
 def load_similarity_pairs(path):
-    return [SimilarityPair(a, b, float(s)) for a, b, s in _tsv_rows(path, "similarity")]
+    return [SimilarityPair(*row) for row in _tsv_rows(path, "similarity", float)]
 
 
 def load_entailment_pairs(path):
-    return [EntailmentPair(a, b, y == "1")
-            for a, b, y in _tsv_rows(path, "entailment", lambda p: p[2] in ("0", "1"))]
+    return [EntailmentPair(*row) for row in _tsv_rows(   # index: a ValueError unless 0 or 1
+        path, "entailment", lambda y: ("0", "1").index(y) == 1)]
+
+
+def _strings(value):
+    return type(value) is list and all(type(v) is str for v in value)
+
+
+# field of a lexical-substitution JSON line -> the test its value must pass
+LEXSUB_FIELDS = {"target": lambda v: type(v) is str, "target_index": lambda v: type(v) is int,
+                 "context_tokens": _strings, "candidates": _strings,
+                 "gold_weights": lambda v: type(v) is dict and all(
+                     type(w) in (int, float) and math.isfinite(w) for w in v.values())}
 
 
 def load_lexsub_instances(path):
     out = []
-    with open(path, encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                out.append(LexsubInstance(
-                    target=obj["target"],
-                    target_index=int(obj["target_index"]),
-                    context_tokens=tuple(obj["context_tokens"]),
-                    candidates=tuple(obj["candidates"]),
-                    gold_weights={k: float(v)
-                                  for k, v in obj["gold_weights"].items()}))
-            except (KeyError, ValueError, json.JSONDecodeError) as e:
-                raise EvalError(f"malformed instance at line {lineno}: {e}")
+    lines = io.StringIO(read_utf8(path, "lexsub", EvalError), newline=None)
+    for lineno, line in enumerate(lines, 1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            if type(obj) is not dict:
+                raise ValueError("not a JSON object")
+            for key, ok in LEXSUB_FIELDS.items():
+                if not ok(obj[key]):
+                    raise ValueError(f"{key} has the wrong type")
+            out.append(LexsubInstance(
+                obj["target"], obj["target_index"], tuple(obj["context_tokens"]),
+                tuple(obj["candidates"]), {k: float(v) for k, v in obj["gold_weights"].items()}))
+        except (KeyError, ValueError, OverflowError) as e:   # an int past the float range
+            raise EvalError(f"malformed instance at line {lineno}: {e}") from None
     return out

@@ -21,12 +21,11 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from decimal import Decimal
 
 import numpy as np
 
 from .baselines import W2G_SETTINGS, SgModel, W2gModel
-from .bsg import BsgModel
+from .bsg import PARAM_DTYPES, BsgModel
 from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
 from .gauss import BLOCK_FLOATS, Gaussian, cosine_finish, kl_rows, norms, row_sums
@@ -129,15 +128,7 @@ def _save_text(bundle, vocab_text, f):
         dims = " ".join(str(s) for s in arr.shape)
         f.write(f"#SECTION array {name} {arr.dtype.name} {arr.ndim} {dims}\n")
         if arr.size:                     # a 0-d or 1-D array on one line
-            rows = np.asarray(arr, np.float64).reshape(-1, arr.shape[-1] if arr.ndim else 1)
-            if arr.dtype.kind in "iu":   # an integer float64 cannot hold would not read back
-                with np.errstate(invalid="ignore"):      # 2**63 casts back out of range
-                    bad = rows.astype(arr.dtype) != arr.reshape(rows.shape)
-                if bad.any():
-                    raise SerializationError(
-                        f"array {name!r}: {arr.dtype} value {arr.reshape(rows.shape)[bad][0]} "
-                        "has no exact text form; save it in the binary format")
-            np.savetxt(f, rows, fmt="%.17g")
+            np.savetxt(f, arr.reshape(-1, arr.shape[-1] if arr.ndim else 1), fmt="%.17g")
     f.write("#SECTION end\n")
 
 
@@ -190,30 +181,18 @@ def _text_section(head, body, lineno):
         fail(f"malformed array section header {head!r}")
     if len(shape) != ndim or min(shape, default=0) < 0:
         fail(f"array section {name!r}: bad shape")
-    if dtype.kind not in "fiu":          # numbers only, as the binary reader takes
-        fail(f"array section {name!r}: dtype {parts[3]!r} is not a number type")
+    if dtype not in PARAM_DTYPES:
+        fail(f"array section {name!r}: dtype {parts[3]!r} is not float32 or float64")
 
     rows = []
-    with np.errstate(over="raise", invalid="raise"):    # a value out of range raises
+    with np.errstate(over="raise"):      # a value past float32's range raises
         for at, line in enumerate(body, lineno + 1):
-            if dtype.kind in "iu":       # whole numbers in range parse exactly as dtype
-                try:
-                    rows.append(np.array(line.split(), dtype=dtype))
-                    continue
-                except (ValueError, OverflowError):
-                    pass                 # the float64 parse below names the fault
             try:
-                values = np.array(line.split(), dtype=np.float64)
-                rows.append(values.astype(dtype, copy=False))
+                rows.append(np.array(line.split(), dtype=np.float64).astype(dtype, copy=False))
             except ValueError as e:
                 fail(f"array section {name!r}: {e}", at)
             except FloatingPointError as e:
                 fail(f"array section {name!r}: a value does not fit {dtype}: {e}", at)
-            # an integer reads back exactly as written: not fractional, not wrapped,
-            # and not rounded by the float64 parse
-            if dtype.kind in "iu" and any(Decimal(t) != r for t, r in
-                                          zip(line.split(), rows[-1].tolist())):
-                fail(f"array section {name!r}: a value does not fit {dtype}", at)
     got, need = sum(map(len, rows)), math.prod(shape)
     if got != need:
         fail(f"truncated array section {name!r}: got {got} of {need} values",
@@ -297,15 +276,17 @@ def _binary_section(name, f, plen, start):
     meta = _json_object(f.read(mlen), start + 4, f"{name} meta")
     nbytes = plen - 4 - mlen
     try:
-        dtype = np.dtype(meta["dtype"]).newbyteorder("<")
-        if dtype.kind not in "fiu" or nbytes % dtype.itemsize:   # no bytes into pointers
+        dtype = np.dtype(meta["dtype"])
+        if dtype not in PARAM_DTYPES:
+            raise ValueError(f"dtype {meta['dtype']!r} is not float32 or float64")
+        if nbytes % dtype.itemsize:
             raise ValueError(f"{nbytes} bytes do not hold {dtype} numbers")
-        arr = np.empty(nbytes // dtype.itemsize, dtype).reshape(meta["shape"])
+        arr = np.empty(nbytes // dtype.itemsize, dtype.newbyteorder("<")).reshape(meta["shape"])
     except (KeyError, TypeError, ValueError) as e:
         raise SerializationError(
             f"byte {start}: corrupt array section {name[6:]!r}: {e}") from None
     f.readinto(arr)
-    return arr.astype(meta["dtype"], copy=False)
+    return arr.astype(dtype, copy=False)
 
 
 def _utf8(raw, start, what):
@@ -409,15 +390,22 @@ def _assemble(sections):
 @contextmanager
 def model_writer(path, mode: str = "binary"):
     """save(bundle), writing a bundle to path in mode through corpus.atomic_open,
-    entered here: an unwritable path fails before any work, and path is
+    entered here: an unwritable path fails before any work, a bundle holding an
+    array not of PARAM_DTYPES fails before a byte is written, and path is
     replaced only when the block ends without error."""
     if mode not in ("text", "binary"):
         raise ValueError(f"unknown mode {mode!r}")
     text = mode == "text"
     how = {"mode": "w", "encoding": "utf-8", "newline": "\n"} if text else {"mode": "wb"}
     with atomic_open(path, **how) as f:
-        yield lambda bundle: (_save_text if text else _save_binary)(
-            bundle, format_vocab(bundle.vocab.words, bundle.vocab.counts), f)
+        def save(bundle):
+            for name, arr in sorted(bundle.arrays.items()):
+                if arr.dtype not in PARAM_DTYPES:
+                    raise SerializationError(
+                        f"array {name!r}: dtype {arr.dtype} is not float32 or float64")
+            (_save_text if text else _save_binary)(
+                bundle, format_vocab(bundle.vocab.words, bundle.vocab.counts), f)
+        yield save
 
 
 def save_model(bundle: ModelBundle, path, mode: str = "binary"):

@@ -325,6 +325,12 @@ class TestTrain:
         with pytest.raises(ValueError, match="batch_size must be >= 1 and hidden_dim >= 0"):
             TrainConfig(dim=3, **kw)
 
+    @pytest.mark.parametrize("dtype", ["int8", "float16", "longdouble"])
+    def test_param_dtype_not_float32_or_float64_rejected(self, dtype):
+        with pytest.raises(ValueError, match=f"param_dtype must be float32 or float64, "
+                                             f"got '{dtype}'"):
+            TrainConfig(dim=3, param_dtype=dtype)
+
     @pytest.mark.parametrize("lr", [float("nan"), float("inf"), 0.0, -1.0])
     def test_learning_rate_not_finite_and_positive_rejected(self, tmp_path, lr):
         path = write_corpus(tmp_path, oracles.polysemy_spec(tokens_per_doc=50, n_docs=1))

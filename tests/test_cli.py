@@ -373,6 +373,49 @@ class TestEvalCommands:
         assert main(["eval-sim", str(workdir / "model.bin"), str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, name, line, error", [
+        ("eval-sim", "sim.tsv", b"a\tb\xff\t1.0\n", "non-UTF-8 similarity line 2 at byte offset"),
+        ("eval-entail", "entail.tsv", b"a\tb\t\xff\n",
+         "non-UTF-8 entailment line 2 at byte offset"),
+        ("eval-lexsub", "lexsub.jsonl", b'{"target": "\xff"}\n',
+         "non-UTF-8 lexsub line 2 at byte offset"),
+        ("eval-sim", "sim.tsv", b"a\tb\tabc\n", r"malformed similarity line 2: 'a\tb\tabc'"),
+        ("eval-sim", "sim.tsv", b"a\tb\tnan\n", r"malformed similarity line 2: 'a\tb\tnan'"),
+        ("eval-sim", "sim.tsv", b"a\tb\t1e999\n", r"malformed similarity line 2: 'a\tb\t1e999'"),
+        ("eval-sim", "sim.tsv", b"a\tb\t-inf\n", r"malformed similarity line 2: 'a\tb\t-inf'")],
+        ids=["sim-not-utf8", "entail-not-utf8", "lexsub-not-utf8", "sim-abc", "sim-nan",
+             "sim-1e999", "sim-minus-inf"])
+    def test_dataset_fault_names_its_line(self, workdir, tmp_path, capsys, command, name,
+                                          line, error):
+        first = (workdir / name).read_bytes().split(b"\n")[0] + b"\n"
+        path = tmp_path / name
+        path.write_bytes(first + line)
+        if b"\xff" in line:
+            error += " " + str(len(first) + line.index(b"\xff"))
+        assert main([command, str(workdir / "model.bin"), str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {error}\n"
+
+    @pytest.mark.parametrize("field, value", [
+        ("candidates", 5), ("target_index", None), ("target_index", True),
+        ("gold_weights", ["mono0"]), ("gold_weights", {"mono0": None}),
+        ("gold_weights", {"mono0": float("nan")}), ("gold_weights", {"mono0": 10 ** 400}),
+        ("context_tokens", ["g0_ind0", "poly0", ["g0_ind1"]]),
+        ("candidates", [["mono0"], "mono1"]), ("target", 7), (None, None)],
+        ids=["candidates-number", "target_index-null", "target_index-bool", "gold-list",
+             "gold-weight-null", "gold-weight-nan", "gold-weight-huge", "context-token-list",
+             "candidate-list", "target-number", "json-array"])
+    @pytest.mark.parametrize("ranker", ["posterior", "add"])
+    def test_mistyped_lexsub_instance_names_its_line(self, workdir, tmp_path, capsys, field,
+                                                     value, ranker):
+        inst = json.loads((workdir / "lexsub.jsonl").read_text())
+        line = json.dumps(list(inst.values()) if field is None else {**inst, field: value})
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(inst) + "\n" + line + "\n")
+        assert main(["eval-lexsub", str(workdir / "model.bin"), str(path), "--window", "2",
+                     "--ranker", ranker]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed instance at line 2: ") and err.count("\n") == 1
+
 
 class TestInspectionCommands:
     def test_nearest(self, workdir, capsys):
