@@ -114,14 +114,17 @@ def _check_sampling(t, neg_exponent):
         raise ValueError(f"negative-sampling exponent must be finite, got {neg_exponent}")
 
 
-def read_utf8(path, what, error=CorpusError):
-    """The text of a UTF-8 file; a byte that is not raises error naming its line and offset."""
+def read_utf8(path, what, error=CorpusError, newline="\n"):
+    """A UTF-8 file's text; a bad byte raises error naming its offset and its line, lines
+    ending at "\n", or also at "\r" as open() ends them if newline is None."""
     with open(path, "rb") as f:
         data = f.read()
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as e:
         lineno = data.count(b"\n", 0, e.start) + 1
+        if newline is None:
+            lineno += data.count(b"\r", 0, e.start) - data.count(b"\r\n", 0, e.start)
         raise error(f"non-UTF-8 {what} line {lineno} at byte offset {e.start}") from None
 
 

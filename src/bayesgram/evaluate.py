@@ -300,7 +300,7 @@ def logdet_frequency_report(model, vocab, out=None):
 def _tsv_rows(path, what, parse):
     """(word1, word2, parse(field 3)) of each non-blank line; a line is malformed unless
     it has three tab-separated fields and parse reads its third as a finite number."""
-    lines = io.StringIO(read_utf8(path, what, EvalError), newline=None)   # as open() splits
+    lines = io.StringIO(read_utf8(path, what, EvalError, None), newline=None)   # as open()
     for lineno, line in enumerate(lines, 1):
         parts = line.strip().split("\t")
         if parts == [""]:
@@ -336,7 +336,7 @@ LEXSUB_FIELDS = {"target": lambda v: type(v) is str, "target_index": lambda v: t
 
 def load_lexsub_instances(path):
     out = []
-    lines = io.StringIO(read_utf8(path, "lexsub", EvalError), newline=None)
+    lines = io.StringIO(read_utf8(path, "lexsub", EvalError, None), newline=None)
     for lineno, line in enumerate(lines, 1):
         if not line.strip():
             continue

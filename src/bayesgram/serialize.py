@@ -482,9 +482,10 @@ def embedding_view(source) -> EmbeddingView:
 
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
-    """Top-k neighbors of `word` by cosine of means (row sums, finished once) or
-    negated KL, written by float64 blocks (see BLOCK_FLOATS) into table-long arrays.
-    The top k by partition, then sorted; ties by word id; the query is excluded."""
+    """Top-k neighbors of `word` by cosine of means or negated KL, by float64 blocks (see
+    BLOCK_FLOATS) cast unchecked: a stored non-finite value makes its row's v.v or KL
+    non-finite, and only such rows are checked (see _finite). The top k by partition, then
+    sorted; ties by word id; the query is excluded."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -495,17 +496,28 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
         raise KeyError(f"word {word!r} out of vocabulary")
     scores = np.empty(len(view.means))
     if measure == "cosine_mean":
-        q = view.mean_rows(qid)
+        q = np.asarray(view.means[qid], np.float64)
         nq = norms(row_sums(q, q))      # a zero query raises before the table is scanned
         vv = np.empty(len(view.means))
-        for s, m in view.blocks(view.mean_rows):
+        for s, m in view.blocks(lambda s: np.asarray(view.means[s], np.float64)):
             row_sums(q, m, out=scores[s])
             row_sums(m, m, out=vv[s])
+        if not np.isfinite(vv).all():       # then check the rows whose v.v is not finite
+            view.mean_rows(~np.isfinite(vv))
         scores = cosine_finish(scores, nq, norms(vv))
+    elif view.log_vars is None:
+        raise SerializationError("model has no density embeddings")
     else:
-        q_mu, q_lv = view.density_rows(qid)
-        for s, (mu, lv) in view.blocks(view.density_rows):
-            np.negative(kl_rows(q_mu, q_lv, mu, lv), out=scores[s])
+        def rows(s):
+            return [np.asarray(t[s], np.float64) for t in (view.means, view.log_vars)]
+        q_mu, q_lv = rows(slice(qid, qid + 1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            for s, (mu, lv) in view.blocks(rows):
+                if len(q_mu) < len(mu) < len(scores):   # past one block: tile q to a block, once
+                    q_mu, q_lv = np.repeat(q_mu, len(mu), 0), np.repeat(q_lv, len(mu), 0)
+                np.negative(kl_rows(q_mu[:len(mu)], q_lv[:len(mu)], mu, lv), out=scores[s])
+        if not np.isfinite(scores).all():   # then check the rows whose KL is not finite
+            view.density_rows(~np.isfinite(scores))
     keys = -scores                  # ascending, NaN last, as a stable argsort orders them
     n = min(k + 1, len(keys))       # k words besides the query
     kth = np.partition(keys, n - 1)[n - 1]

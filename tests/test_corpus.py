@@ -249,6 +249,18 @@ class TestVocabularyIO:
         assert v.words == ["a", "b\r"]
         assert list(v.counts) == [3, 2]
 
+    @pytest.mark.parametrize("data, line", [(b"a\r\t5\nb\xff\t3\n", 2),
+                                            (b"a\t5\r\nb\t4\r\nc\xff\t3\r\n", 3)],
+                             ids=["word-holding-cr", "crlf"])
+    def test_non_utf8_names_the_line_counted_at_line_feeds(self, tmp_path, data, line):
+        """A vocabulary line ends at a line feed only, since a word may hold "\r"."""
+        path = tmp_path / "vocab.tsv"
+        path.write_bytes(data)
+        at = data.index(b"\xff")
+        with pytest.raises(CorpusError,
+                           match=f"^non-UTF-8 vocabulary line {line} at byte offset {at}$"):
+            Vocabulary.load(path)
+
     def test_repeated_word_rejected(self):
         with pytest.raises(ValueError, match="repeated vocabulary word 'a'"):
             Vocabulary(["a", "b", "a"], np.array([3, 2, 1]))

@@ -309,6 +309,10 @@ class TestLogdetReport:
         assert r is None
 
 
+LEXSUB_LINE = (b'{"target": "a", "target_index": 0, "context_tokens": ["a"], '
+               b'"candidates": ["b"], "gold_weights": {"b": 1}}')
+
+
 class TestLoaders:
     def test_similarity_tsv(self, tmp_path):
         p = tmp_path / "sim.tsv"
@@ -337,6 +341,25 @@ class TestLoaders:
         p.write_text('{"target": "x"}\n')
         with pytest.raises(EvalError, match="line 1"):
             load_lexsub_instances(p)
+
+    @pytest.mark.parametrize("load, what, data", [
+        (load_similarity_pairs, "similarity", b"a\tb\t1.0\rc\td\xff\t2.0\n"),
+        (load_similarity_pairs, "similarity", b"a\tb\t1.0\r\nc\td\xff\t2.0\r\n"),
+        (load_entailment_pairs, "entailment", b"a\tb\t1\r\rc\td\xff\t0\r"),
+        (load_lexsub_instances, "lexsub", LEXSUB_LINE + b'\r{"target": "\xff"}\r')],
+        ids=["sim-cr", "sim-crlf", "entail-cr-blank-line", "lexsub-cr"])
+    def test_non_utf8_names_the_line_the_loader_counts(self, tmp_path, load, what, data):
+        """Lines end as open() ends them, at "\n", "\r\n" or "\r", for a byte that
+        is not UTF-8 as for a malformed line."""
+        p = tmp_path / "data"
+        p.write_bytes(data)
+        line = len(io.StringIO(data.decode("latin-1"), newline=None).readlines())
+        at = data.index(b"\xff")
+        with pytest.raises(EvalError, match=f"^non-UTF-8 {what} line {line} at byte offset {at}$"):
+            load(p)
+        p.write_bytes(data.replace(b"\xff", b"\t"))     # malformed: the loader's own count
+        with pytest.raises(EvalError, match=f"^malformed .* line {line}: "):
+            load(p)
 
     def test_instance_validation(self):
         with pytest.raises(ValueError, match="target_index"):

@@ -4,9 +4,13 @@ The per-word loops the read path replaced are kept here as oracles: the
 vectorized code must return exactly what they return.
 """
 
+import warnings
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bayesgram import serialize
 from bayesgram.baselines import init_sg_model, init_w2g_model
@@ -18,7 +22,7 @@ from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
                                 eval_directionality, eval_entailment,
                                 eval_similarity, lexsub_rank,
                                 logdet_frequency_report)
-from bayesgram.gauss import Gaussian, cosine, cosine_rows, kl_divergence, log_det_cov
+from bayesgram.gauss import Gaussian, cosine, cosine_rows, kl_divergence, kl_rows, log_det_cov
 from bayesgram.serialize import (SerializationError, bundle_from_model,
                                  embedding_view, nearest)
 
@@ -299,6 +303,91 @@ class TestNearest:
             with pytest.raises(ValueError, match="finite"):
                 nearest(bundle_from_model(model), "w1", 3, measure)
 
+    @pytest.mark.parametrize("measure, table", [("cosine_mean", 0), ("neg_kl", 0), ("neg_kl", 1)],
+                             ids=["cosine-mean", "neg_kl-mean", "neg_kl-log_var"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("row", [1, 29], ids=["query-row", "last-partial-block"])
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    def test_non_finite_in_query_row_or_last_block(self, measure, table, bad, row, cov_kind,
+                                                   monkeypatch):
+        """Blocks of 4 rows (0-3 | ... | 28-29): the check on the scan's result finds a
+        bad value in the query's own row, which every KL then carries, and in the
+        last, partial block."""
+        model = density_model("w2g", cov_kind, V=30)
+        t = density_tables(model)[table]
+        t.reshape(len(t), -1)[row, -1] = bad
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 4 * 5)
+        with pytest.raises(ValueError, match="^embedding parameters must be finite$"):
+            nearest(bundle_from_model(model), "w1", 3, measure)
+
+
+@st.composite
+def corrupted_tables(draw):
+    """(cov_kind, means, log-variances, block rows, query id, k) of a small w2g table:
+    nonzero means in [-4, 4], log-variances in [-3, 3] or +-400 or +-800 (a KL may
+    overflow); then perhaps one zero mean row, and up to two entries of either table
+    set to NaN or +-inf."""
+    V, d = draw(st.integers(2, 6)), draw(st.integers(1, 4))
+    cov_kind = draw(st.sampled_from(["spherical", "diagonal"]))
+    mean = draw(hnp.arrays(np.float32, (V, d), elements=st.floats(-4, 4, width=32).filter(bool)))
+    lv = draw(hnp.arrays(np.float32, (V, 1 if cov_kind == "spherical" else d),
+                         elements=st.one_of(st.floats(-3, 3, width=32),
+                                            st.sampled_from([-800.0, -400.0, 400.0, 800.0]))))
+    if draw(st.integers(0, 4)) == 4:
+        mean[draw(st.integers(0, V - 1))] = 0.0
+    for _ in range(draw(st.integers(0, 2))):
+        t = draw(st.sampled_from([mean, lv]))
+        t[draw(st.integers(0, V - 1)), draw(st.integers(0, t.shape[1] - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return (cov_kind, mean, lv, draw(st.integers(1, V + 1)), draw(st.integers(0, V - 1)),
+            draw(st.integers(1, V + 1)))
+
+
+def nearest_or_error(mean, lv, qid, k, measure):
+    """The error nearest raises, in its precedence, or its (id, score) list: every
+    score of the whole table at once, then a stable sort, NaN last."""
+    mu, lvs = mean.astype(np.float64), lv.astype(np.float64)
+    if measure == "cosine_mean":
+        if not mu[qid].any():
+            return "undefined cosine: zero vector"
+        if not np.isfinite(mu).all():
+            return "embedding parameters must be finite"
+        if not mu.any(axis=1).all():
+            return "undefined cosine: zero vector"
+        scores = cosine_rows(mu[qid], mu)
+    else:
+        if not (np.isfinite(mu).all() and np.isfinite(lvs).all()):
+            return "embedding parameters must be finite"
+        with np.errstate(over="ignore", invalid="ignore"):
+            scores = -kl_rows(mu[qid], lvs[qid], mu, lvs)
+    nan = np.isnan(scores)
+    order = sorted((i for i in range(len(mu)) if i != qid),
+                   key=lambda i: (nan[i], 0.0 if nan[i] else -scores[i], i))
+    return [(i, scores[i]) for i in order[:k]]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(corrupted_tables(), st.sampled_from(MEASURES))
+def test_nearest_raises_exactly_on_a_non_finite_stored_value(case, measure):
+    """Blocks cast unchecked, a check on the scan's result: nearest raises the finite
+    error exactly when a value it reads is not finite, else returns the oracle's
+    words and scores; no RuntimeWarning escapes, KL overflow included."""
+    cov_kind, mean, lv, block_rows, qid, k = case
+    model = density_model("w2g", cov_kind, V=len(mean), d=mean.shape[1])
+    model.mean[...] = mean
+    model.log_var[...] = lv.reshape(model.log_var.shape)
+    want = nearest_or_error(mean, lv, qid, k, measure)
+    with mock.patch.object(serialize, "BLOCK_FLOATS", block_rows * mean.shape[1]), \
+            warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if isinstance(want, str):
+            with pytest.raises(ValueError, match=f"^{want}$"):
+                nearest(bundle_from_model(model), f"w{qid}", k, measure)
+            return
+        got = nearest(bundle_from_model(model), f"w{qid}", k, measure)
+    assert [w for w, _ in got] == [f"w{i}" for i, _ in want]
+    np.testing.assert_array_equal([s for _, s in got], [s for _, s in want])
+
 
 class TestNearestBySums:
     """Cosine nearest writes the row sums q.v and v.v of each block into two
@@ -318,6 +407,25 @@ class TestNearestBySums:
         assert tied == [2, 3, 4, 5, 9]
         for k in range(1, 13):
             got = nearest(bundle_from_model(model), "w0", k)
+            assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
+            assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
+
+    @pytest.mark.parametrize("kind,cov_kind", DENSITY_KINDS)
+    @pytest.mark.parametrize("d", [5, 101])
+    def test_neg_kl_scores_are_kl_rows_bit_for_bit(self, kind, cov_kind, d, monkeypatch):
+        """Negated-KL nearest, its query tiled to a block's rows, gives each word the
+        bits of -kl_rows of the (d,) query row against the whole table."""
+        model = density_model(kind, cov_kind, V=11, d=d)
+        for table in density_tables(model):
+            table[[3, 4, 5, 9]] = table[2]     # blocks of 2 rows: 2-3 | 4-5 | ... | 8-9
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * d)
+        mu, lv = (t.astype(np.float64).reshape(11, -1) for t in density_tables(model))
+        want = -kl_rows(mu[0], lv[0], mu, lv)
+        order = sorted(range(1, 11), key=lambda i: (-want[i], i))
+        tied = [i for i in order if want[i] == want[2]]
+        assert tied == [2, 3, 4, 5, 9]
+        for k in range(1, 13):
+            got = nearest(bundle_from_model(model), "w0", k, "neg_kl")
             assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
             assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
 
