@@ -233,6 +233,8 @@ def _cmd_eval_direction(args):
 
 
 def _cmd_eval_lexsub(args):
+    if args.window < 1:                 # before the model is read
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     model = _eval_model(args.model)
     insts = evaluate.load_lexsub_instances(args.dataset)
     rank = (evaluate.lexsub_rank if args.ranker == "posterior"
@@ -261,6 +263,8 @@ def _cmd_nearest(args):
 
 
 def _cmd_infer(args):
+    if args.window < 1:                 # before the model is read
+        raise ValueError(f"--window must be >= 1, got {args.window}")
     bundle = serialize.load_model(args.model)
     tokens = tokenize_line(args.sentence, lowercase=args.lowercase)
     g = serialize.infer(bundle, tokens, args.target_index, args.window)

@@ -287,6 +287,8 @@ def _window_arrays(ids: np.ndarray, window_size: int, lo: int = 0, hi=None):
 
 def context_tokens(tokens, i: int, window: int):
     """The up to `window` tokens left of tokens[i], then those right of it."""
+    if window < 1:
+        raise ValueError("window must be >= 1")
     return list(tokens[max(0, i - window):i]) + list(tokens[i + 1:i + 1 + window])
 
 

@@ -28,7 +28,7 @@ from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import PARAM_DTYPES, BsgModel
 from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
-from .gauss import BLOCK_FLOATS, Gaussian, cosine_finish, kl_rows, norms, row_sums
+from .gauss import BLOCK_FLOATS, Gaussian, cosine_finish, kl_bounds, kl_rows, norms, row_sums
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
            "model_from_bundle", "model_writer", "save_model", "load_model",
@@ -451,10 +451,11 @@ class EmbeddingView:
             raise SerializationError("model has no density embeddings")
         return _finite(self.means[ids]), _finite(self.log_vars[ids])
 
-    def blocks(self, rows):
-        """(block, rows(block)) over consecutive slices of BLOCK_FLOATS // d words."""
-        n, V = max(1, BLOCK_FLOATS // self.means.shape[1]), len(self.means)
-        return ((s, rows(s)) for s in map(slice, range(0, V, n), range(n, V + n, n)))
+    def blocks(self, rows, ids=None):
+        """(i, rows(i)) over consecutive slices i of BLOCK_FLOATS // d words, or of `ids`."""
+        n, V = max(1, BLOCK_FLOATS // self.means.shape[1]), len(self.means if ids is None else ids)
+        cuts = map(slice, range(0, V, n), range(n, V + n, n))
+        return ((i, rows(i)) for i in (cuts if ids is None else (ids[s] for s in cuts)))
 
 
 def _finite(rows):
@@ -483,9 +484,10 @@ def embedding_view(source) -> EmbeddingView:
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
     """Top-k neighbors of `word` by cosine of means or negated KL, by float64 blocks (see
-    BLOCK_FLOATS) cast unchecked: a stored non-finite value makes its row's v.v or KL
-    non-finite, and only such rows are checked (see _finite). The top k by partition, then
-    sorted; ties by word id; the query is excluded."""
+    BLOCK_FLOATS) cast unchecked: a stored non-finite value makes its row's v.v or KL non-finite,
+    and only such rows are checked (see _finite). Past one block, kl_rows scores only the rows
+    whose kl_bounds may reach the top k + 1. Then the top k by partition, sorted, ties by word
+    id, the query excluded."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -494,7 +496,7 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
     qid = view.vocab.lookup(word)
     if qid is None:
         raise KeyError(f"word {word!r} out of vocabulary")
-    scores = np.empty(len(view.means))
+    scores, n = np.empty(len(view.means)), min(k + 1, len(view.means))  # k besides the query
     if measure == "cosine_mean":
         q = np.asarray(view.means[qid], np.float64)
         nq = norms(row_sums(q, q))      # a zero query raises before the table is scanned
@@ -510,16 +512,19 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
     else:
         def rows(s):
             return [np.asarray(t[s], np.float64) for t in (view.means, view.log_vars)]
-        q_mu, q_lv = rows(slice(qid, qid + 1))
+        (q_mu, q_lv), ids = rows(slice(qid, qid + 1)), None
         with np.errstate(over="ignore", invalid="ignore"):
-            for s, (mu, lv) in view.blocks(rows):
-                if len(q_mu) < len(mu) < len(scores):   # past one block: tile q to a block, once
-                    q_mu, q_lv = np.repeat(q_mu, len(mu), 0), np.repeat(q_lv, len(mu), 0)
-                np.negative(kl_rows(q_mu[:len(mu)], q_lv[:len(mu)], mu, lv), out=scores[s])
+            if view.means.size > BLOCK_FLOATS:      # past one block: filter, then refine
+                lo, hi = kl_bounds(q_mu, q_lv, view.blocks(
+                    lambda s: (view.means[s], view.log_vars[s])), len(scores))
+                t = np.partition(hi, n - 1)[n - 1]      # n rows have a KL of at most t
+                ids = None if t == np.inf else (lo <= t).nonzero()[0]
+                np.negative(hi, out=scores)     # a row left out keeps -hi <= -lo < -t
+            for i, (mu, lv) in view.blocks(rows, ids):
+                scores[i] = -kl_rows(q_mu, q_lv, mu, lv)
         if not np.isfinite(scores).all():   # then check the rows whose KL is not finite
             view.density_rows(~np.isfinite(scores))
     keys = -scores                  # ascending, NaN last, as a stable argsort orders them
-    n = min(k + 1, len(keys))       # k words besides the query
     kth = np.partition(keys, n - 1)[n - 1]
     # every word at or above the k-th best; all of them if it is NaN (too few numbers)
     top = np.arange(len(keys)) if math.isnan(kth) else (keys <= kth).nonzero()[0]

@@ -367,6 +367,20 @@ class TestEvalCommands:
         out = capsys.readouterr().out
         assert "gap\t" in out and "instances_used\t1" in out
 
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    @pytest.mark.parametrize("ranker", ["posterior", "add", "mult"])
+    def test_eval_lexsub_window_below_one_refused_before_the_model_is_read(
+            self, workdir, capsys, monkeypatch, ranker, window):
+        """A window below 1 would leave the target word alone; every ranker refuses it."""
+        def untouchable(*_args, **_kw):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(serialize, "load_model", untouchable)
+        assert main(["eval-lexsub", str(workdir / "model.bin"), str(workdir / "lexsub.jsonl"),
+                     "--window", window, "--ranker", ranker]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --window must be >= 1, got {window}\n"
+
     def test_malformed_dataset(self, workdir, tmp_path, capsys):
         bad = tmp_path / "bad.tsv"
         bad.write_text("only-one-column\n")
@@ -443,6 +457,18 @@ class TestInspectionCommands:
         out = capsys.readouterr().out
         assert out.startswith("mean\t")
         assert "variance\t" in out
+
+    @pytest.mark.parametrize("window", ["0", "-3"])
+    def test_infer_window_below_one_refused_before_the_model_is_read(
+            self, workdir, capsys, monkeypatch, window):
+        def untouchable(*_args, **_kw):
+            raise AssertionError("the model was read")
+
+        monkeypatch.setattr(serialize, "load_model", untouchable)
+        assert main(["infer", str(workdir / "model.bin"), "g0_ind0 poly0 g0_ind1", "1",
+                     "--window", window]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == f"error: --window must be >= 1, got {window}\n"
 
     def test_infer_on_sg_model(self, workdir, tmp_path, capsys):
         sg = tmp_path / "sg.bin"

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from bayesgram.gauss import (Gaussian, cosine, cosine_rows, fold, kl_divergence, kl_parts,
-                             kl_rows, log_density, log_density_rows, log_det_cov)
+from bayesgram.gauss import (Gaussian, cosine, cosine_rows, fold, kl_bounds, kl_divergence,
+                             kl_parts, kl_rows, log_density, log_density_rows, log_det_cov)
 from bayesgram.oracles import kl_quadrature_oracle
 
 
@@ -230,6 +230,52 @@ def test_in_place_kl_terms_match_the_formula(args):
     want, want_warned = outcome(lambda *a: kl_formula(*a, partials=False), args)
     got, warned = outcome(kl_rows, args)
     assert warned == want_warned and same_bits(got, want)
+
+
+@st.composite
+def bound_tables(draw):
+    """(query mean, query log-variance, means, log-variances, block rows) of a finite
+    float32 or float64 table, the query its row 0: means uniform in +-1e3 times a drawn
+    scale, log-variances uniform in +-700 times another, then up to six entries set to
+    +-700 or +-800; V from 1 to 12, d from 1 to 101, spherical or diagonal."""
+    V, d = draw(st.integers(1, 12)), draw(st.integers(1, 101))
+    w, dtype = draw(st.sampled_from([1, d])), draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mean = rng.uniform(-1e3, 1e3, (V, d)) * draw(st.sampled_from([1e-3, 0.1, 1.0]))
+    lv = rng.uniform(-700.0, 700.0, (V, w)) * draw(st.sampled_from([1e-3, 0.1, 0.5, 1.0]))
+    for _ in range(draw(st.integers(0, 6))):
+        lv[draw(st.integers(0, V - 1)), draw(st.integers(0, w - 1))] = draw(
+            st.sampled_from([-800.0, -700.0, 700.0, 800.0]))
+    mean, lv = mean.astype(dtype), lv.astype(dtype)
+    q_mu, q_lv = (t[:1].astype(np.float64) for t in (mean, lv))
+    return q_mu, q_lv, mean, lv, draw(st.integers(1, V))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bound_tables())
+def test_kl_bounds_hold_or_the_row_is_unsure(case):
+    """Each row's (lo, hi) is (-inf, inf), or holds the bits kl_rows gives the row, for
+    any split into blocks (the first, longest one tiles the query)."""
+    q_mu, q_lv, mean, lv, n = case
+    blocks = [(slice(i, i + n), (mean[i:i + n], lv[i:i + n])) for i in range(0, len(mean), n)]
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = kl_bounds(q_mu, q_lv, blocks, len(mean))
+        kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
+    unsure = (lo == -np.inf) & (hi == np.inf)
+    assert (unsure | ((lo <= kl) & (kl <= hi))).all()
+
+
+def test_kl_bounds_are_unsure_exactly_past_1e300_or_not_finite():
+    """A KL that overflows, is NaN, or passes 1e300 leaves its row unsure; a KL
+    near 1e-3 or 1e299 gets a finite bound around it."""
+    mu = np.zeros((5, 1))
+    lv = np.array([[0.0], [-691.0], [-700.0], [-800.0], [np.nan]])   # 2K ~ e^(-lv2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = kl_bounds(mu[:1], np.zeros((1, 1)), [(slice(0, 5), (mu, lv))], 5)
+        kl = kl_rows(mu[:1], np.zeros((1, 1)), mu, lv)
+    assert np.isfinite(lo[:2]).all() and np.isfinite(hi[:2]).all()
+    assert (lo[:2] <= kl[:2]).all() and (kl[:2] <= hi[:2]).all()
+    assert (lo[2:] == -np.inf).all() and (hi[2:] == np.inf).all()
 
 
 def test_log_density_rows_spherical_column():

@@ -22,7 +22,8 @@ from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
                                 eval_directionality, eval_entailment,
                                 eval_similarity, lexsub_rank,
                                 logdet_frequency_report)
-from bayesgram.gauss import Gaussian, cosine, cosine_rows, kl_divergence, kl_rows, log_det_cov
+from bayesgram.gauss import (Gaussian, cosine, cosine_rows, kl_bounds, kl_divergence, kl_rows,
+                             log_det_cov)
 from bayesgram.serialize import (SerializationError, bundle_from_model,
                                  embedding_view, nearest)
 
@@ -465,6 +466,81 @@ class TestNearestBySums:
             nearest(bundle_from_model(model), "w0", 3, measure)
 
 
+class TestNearestByBounds:
+    """Past one block, negated-KL nearest scores with kl_rows only the rows whose
+    kl_bounds may reach the top k + 1; those scores decide the order."""
+
+    @staticmethod
+    def ulp_chain(mu, lv, qid, row, n):
+        """n copies of `row`, each mean moved by up to 100 float64 ulps per coordinate, so
+        that their KLs against row qid, sorted, step by 1 or 2 ulps, and the upper bounds
+        kl_bounds gives them are out of that order: (means, log-variances, KLs), by KL."""
+        means = np.repeat(mu[row:row + 1], 800, 0)
+        means += np.random.default_rng(1).integers(-100, 100, means.shape) * np.spacing(mu[row])
+        lvs = np.repeat(lv[row:row + 1], 800, 0)
+        kl = kl_rows(mu[qid], lv[qid], means, lvs)
+        _, hi = kl_bounds(mu[qid:qid + 1], lv[qid:qid + 1], [(slice(None), (means, lvs))],
+                          len(means))
+        _, first = np.unique(kl, return_index=True)          # one row per KL, ascending
+        gaps = np.diff(kl[first]) / np.spacing(kl[first][:-1])
+        for i in range(len(first) - n + 1):
+            pick = first[i:i + n]
+            if np.isin(gaps[i:i + n - 1], (1.0, 2.0)).all() and (np.diff(hi[pick]) < 0).any():
+                return means[pick], lvs[pick], kl[pick]
+        raise AssertionError("no chain of 1-2 ulp KL steps")
+
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    def test_ulp_apart_kls_across_blocks_rank_as_the_whole_table(self, cov_kind,
+                                                                 monkeypatch):
+        """Six KLs 1-2 ulps apart, one of them twice, sit in scattered 2-row blocks among
+        nearer and farther rows: for every k, one cut falling between each neighbouring
+        pair, nearest returns the whole table's stable sort, words and score bits."""
+        d, V = 4, 16
+        model = density_model("w2g", cov_kind, V=V, d=d)
+        model.mean, model.log_var = (t.astype(np.float64) for t in density_tables(model))
+        mu, lv = model.mean, model.log_var.reshape(V, -1)
+        means, lvs, kl = self.ulp_chain(mu, lv, 0, 5, 6)
+        slots = [3, 8, 9, 12, 14, 15]                      # first, second, second of a pair...
+        mu[slots], lv[slots] = means, lvs
+        mu[6], lv[6] = means[2], lvs[2]                     # an exact tie with slot 9
+        mu[[1, 10]] = mu[0] + 1e-3                          # nearer than the chain
+        lv[[1, 10]] = lv[0]
+        mu[[2, 4, 7, 11, 13]] += 5.0                        # farther
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 2 * d)
+        want = -kl_rows(mu[0], lv[0], mu, lv)
+        assert np.array_equal(-want[slots], kl) and want[6] == want[9]
+        order = sorted(range(1, V), key=lambda i: (-want[i], i))
+        assert order[:2] == [1, 10] and order[2:9] == [3, 8, 6, 9, 12, 14, 15]
+        for k in range(1, V + 2):
+            got = nearest(bundle_from_model(model), "w0", k, "neg_kl")
+            assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
+            assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
+
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    def test_kl_rows_scores_few_rows_of_a_query_model(self, cov_kind, monkeypatch):
+        """A 1k x 100 prior perturbed as the benchmark's query model is (seed 0): each
+        k = 10 query sends at most 64 of its 1,000 rows to kl_rows."""
+        V, d = 1000, 100
+        rng = np.random.default_rng([0, 1002])
+        model = init_bsg_model(tiny_vocab(V), TrainConfig(dim=d, cov_kind=cov_kind, seed=0),
+                               rng)
+        model.prior_mean += rng.normal(0.0, 0.3, (V, d)).astype(np.float32)
+        model.prior_log_var += rng.normal(0.0, 0.5, model.prior_log_var.shape).astype(
+            np.float32)
+        seen = []
+
+        def counted(mu1, lv1, mu2, lv2):
+            seen.append(len(mu2))
+            return kl_rows(mu1, lv1, mu2, lv2)
+
+        monkeypatch.setattr(serialize, "kl_rows", counted)
+        b = bundle_from_model(model)
+        for word in ("w0", "w1", "w17", "w500", "w998", "w999"):
+            seen.clear()
+            got = nearest(b, word, 10, "neg_kl")
+            assert len(got) == 10 and 10 < sum(seen) <= 64
+
+
 # -------------------------------------------------------------------- evals
 
 def pairs_for(vocab, rng, n, labelled):
@@ -527,6 +603,22 @@ class TestEvalsMatchPerWordLoops:
         assert got[-1] == ("zz", None)
         for (_, s), (_, t) in zip(got, want):
             assert s == pytest.approx(t, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("window", [0, -3])
+    def test_window_below_one_raises_in_every_context_reader(self, window):
+        """context_tokens, behind lexsub_rank, add_mult_baseline and infer, refuses a
+        window that would leave only the target word."""
+        model = density_model("bsg", "diagonal", V=10)
+        inst = LexsubInstance("w3", 1, ("w1", "w3", "w4"), ("w7", "w0"), {"w0": 1.0})
+        with pytest.raises(ValueError, match="^window must be >= 1$"):
+            context_tokens(inst.context_tokens, 1, window)
+        for call in (lambda: lexsub_rank(model, inst, window),
+                     lambda: add_mult_baseline(model, inst, window, "add"),
+                     lambda: add_mult_baseline(model, inst, window, "mult"),
+                     lambda: serialize.infer(bundle_from_model(model),
+                                             list(inst.context_tokens), 1, window)):
+            with pytest.raises(ValueError, match="^window must be >= 1$"):
+                call()
 
     def test_lexsub_needs_an_encoder(self):
         model = density_model("w2g", "diagonal")
