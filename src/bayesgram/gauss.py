@@ -12,8 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 __all__ = ["BLOCK_FLOATS", "Gaussian", "kl_divergence", "kl_rows", "kl_parts", "kl_bounds",
-           "fold", "log_density", "log_density_rows", "cosine", "cosine_rows", "row_sums",
-           "norms", "cosine_finish", "log_det_cov"]
+           "cosine_bounds", "fold", "log_density", "log_density_rows", "cosine", "cosine_rows",
+           "row_sums", "norms", "cosine_finish", "log_det_cov"]
 
 _LOG_2PI = float(np.log(2.0 * np.pi))
 
@@ -121,6 +121,19 @@ def kl_bounds(mu1, lv1, blocks, V):
     b = 2.0 ** -46 * (d + 400) * (P + 2 * np.abs(K) + 2 * d + 2 * np.sum(np.abs(lq)))
     sure = np.abs(K) <= 1e300
     return np.where(sure, K - b, -np.inf), np.where(sure, K + b, np.inf)
+
+
+def cosine_bounds(y, nq, nv, d):
+    """(lo, hi) around each key -cosine_finish(row_sums(q, v), nq, nv) from y = T @ q in T's
+    dtype s, float64 norms nq, nv in [2^-40, 2^60] and d <= 2^23: -y/N -+ b, N = nq nv, b =
+    4d(u_s + 2u) + 16u + 2^83 d(t_s + t), u (u_s) float64's (s's) unit roundoff, t (t_s) least
+    normal. Why, with A = sum|q_i v_i| <= |q||v| <= 2^120: y and the float64 sum are within 2d
+    u_s A + 2d t_s and 2du A + 2d t of q.v in any order, with or without FMA (Higham 3.1; an
+    underflow, gradual or to 0, errs by < t). Norms within (d/2 + 1)u give A/N <= 1 + (d + 3)u;
+    each quotient by N and lo, hi round by u, today's clip moves < (3d + 5)u: all sum below b."""
+    f, k = np.finfo(y.dtype), y / (-nq * nv)
+    b = d * (2 * float(f.eps) + 2 ** -50 + 2 ** 83 * (float(f.tiny) + 2 ** -1022)) + 2 ** -49
+    return k - b, k + b
 
 
 def fold(g, lv, d):

@@ -21,6 +21,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -28,7 +29,8 @@ from .baselines import W2G_SETTINGS, SgModel, W2gModel
 from .bsg import PARAM_DTYPES, BsgModel
 from .corpus import Vocabulary, atomic_open, context_tokens, format_vocab, parse_vocab
 from .encoder import EncoderParams
-from .gauss import BLOCK_FLOATS, Gaussian, cosine_finish, kl_bounds, kl_rows, norms, row_sums
+from .gauss import (BLOCK_FLOATS, Gaussian, cosine_bounds, cosine_finish, kl_bounds, kl_rows,
+                    norms, row_sums)
 
 __all__ = ["ModelBundle", "SerializationError", "bundle_from_model",
            "model_from_bundle", "model_writer", "save_model", "load_model",
@@ -71,6 +73,8 @@ class ModelBundle:
         if missing:
             raise SerializationError(
                 f"missing parameter sections for {self.model_kind}: {missing}")
+
+    view = cached_property(lambda self: embedding_view(model_from_bundle(self)))   # on first use
 
 
 def bundle_from_model(model, config=None) -> ModelBundle:
@@ -428,9 +432,10 @@ def load_model(path) -> ModelBundle:
 
 @dataclass(frozen=True)
 class EmbeddingView:
-    """The word tables that nearest and every evaluation read, shared with the
-    model: means V x d; log_vars V x 1 (spherical), V x d, or None for point
-    vectors; posterior(center, contexts), the encoder's density, or None."""
+    """The word tables that nearest and every evaluation read, shared with the model: means
+    V x d; log_vars V x 1 (spherical), V x d, or None for point vectors; posterior(center,
+    contexts), the encoder's density, or None. It and its cached cosine_tables hold while those
+    arrays are unchanged: code writing to them builds a new bundle."""
     vocab: Vocabulary
     means: np.ndarray
     log_vars: np.ndarray = None
@@ -440,6 +445,15 @@ class EmbeddingView:
         if self.log_vars is not None:
             lv = np.reshape(self.log_vars, (len(self.means), -1))
             object.__setattr__(self, "log_vars", lv)
+
+    @cached_property
+    def cosine_tables(self):
+        """(means as float32 or float64, v.v by float64 blocks cast unchecked, norms, min, max)."""
+        vv, t = np.empty(len(self.means)), self.means
+        for s, m in self.blocks(lambda s: np.asarray(t[s], np.float64)):
+            row_sums(m, m, out=vv[s])
+        nv = np.sqrt(vv)
+        return t if t.dtype in PARAM_DTYPES else t.astype(float), vv, nv, nv.min(), nv.max()
 
     def mean_rows(self, ids):
         """Means of `ids` (an index array or a slice) in float64."""
@@ -468,9 +482,9 @@ def _finite(rows):
 def embedding_view(source) -> EmbeddingView:
     """The view of a bundle or a live model: BSG's prior tables, W2G's tables,
     SG's input vectors. Any other object passes its own vocab, means,
-    log_vars and posterior."""
-    if isinstance(source, ModelBundle):
-        source = model_from_bundle(source)
+    log_vars and posterior; a view is its own, and a bundle's is built once (ModelBundle.view)."""
+    if isinstance(source, (EmbeddingView, ModelBundle)):
+        return source if isinstance(source, EmbeddingView) else source.view
     if isinstance(source, BsgModel):
         return EmbeddingView(source.vocab, source.prior_mean, source.prior_log_var,
                              source.posterior)
@@ -483,11 +497,11 @@ def embedding_view(source) -> EmbeddingView:
 
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
-    """Top-k neighbors of `word` by cosine of means or negated KL, by float64 blocks (see
-    BLOCK_FLOATS) cast unchecked: a stored non-finite value makes its row's v.v or KL non-finite,
-    and only such rows are checked (see _finite). Past one block, kl_rows scores only the rows
-    whose kl_bounds may reach the top k + 1. Then the top k by partition, sorted, ties by word
-    id, the query excluded."""
+    """Top-k neighbors of `word` by cosine of means or negated KL, ties by word id, the query
+    excluded. Filter: cosine_bounds of one product in the stored dtype over the view's norms
+    (valid while the bundle's arrays are unchanged) or, past one block, kl_bounds. Refine:
+    cosine_finish of row_sums, or kl_rows, in float64 for the rows that may reach the top
+    k + 1, which alone are ranked. A stored non-finite value raises (see _finite)."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -496,39 +510,37 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
     qid = view.vocab.lookup(word)
     if qid is None:
         raise KeyError(f"word {word!r} out of vocabulary")
-    scores, n = np.empty(len(view.means)), min(k + 1, len(view.means))  # k besides the query
+    scores, n, ids = np.zeros(len(view.means)), min(k + 1, len(view.means)), None  # k + query
     if measure == "cosine_mean":
-        q = np.asarray(view.means[qid], np.float64)
-        nq = norms(row_sums(q, q))      # a zero query raises before the table is scanned
-        vv = np.empty(len(view.means))
-        for s, m in view.blocks(lambda s: np.asarray(view.means[s], np.float64)):
-            row_sums(q, m, out=scores[s])
-            row_sums(m, m, out=vv[s])
-        if not np.isfinite(vv).all():       # then check the rows whose v.v is not finite
-            view.mean_rows(~np.isfinite(vv))
-        scores = cosine_finish(scores, nq, norms(vv))
-    elif view.log_vars is None:
-        raise SerializationError("model has no density embeddings")
+        table, vv, nv, least, most = view.cosine_tables
+        nq, q = norms(vv[qid]), np.asarray(view.means[qid], np.float64)  # a zero query first,
+        if 2.0 ** -40 <= least and most <= 2.0 ** 60:   # sure bounds (nq among the norms)
+            lo, hi = cosine_bounds(table @ table[qid], nq, nv, table.shape[1])
+            ids = (lo <= np.partition(hi, n - 1)[n - 1]).nonzero()[0]  # may reach the top n
+        else:                   # then a stored non-finite value raises, then a zero row
+            view.mean_rows(~np.isfinite(vv)), norms(vv)
+        for i, m in view.blocks(lambda s: np.asarray(view.means[s], np.float64), ids):
+            scores[i] = cosine_finish(row_sums(q, m), nq, nv[i])
     else:
         def rows(s):
             return [np.asarray(t[s], np.float64) for t in (view.means, view.log_vars)]
-        (q_mu, q_lv), ids = rows(slice(qid, qid + 1)), None
+        q_mu, q_lv = view.density_rows(slice(qid, qid + 1))    # raises first for a bad query
         with np.errstate(over="ignore", invalid="ignore"):
             if view.means.size > BLOCK_FLOATS:      # past one block: filter, then refine
                 lo, hi = kl_bounds(q_mu, q_lv, view.blocks(
                     lambda s: (view.means[s], view.log_vars[s])), len(scores))
                 t = np.partition(hi, n - 1)[n - 1]      # n rows have a KL of at most t
                 ids = None if t == np.inf else (lo <= t).nonzero()[0]
-                np.negative(hi, out=scores)     # a row left out keeps -hi <= -lo < -t
             for i, (mu, lv) in view.blocks(rows, ids):
                 scores[i] = -kl_rows(q_mu, q_lv, mu, lv)
-        if not np.isfinite(scores).all():   # then check the rows whose KL is not finite
+        if not np.isfinite(scores).all():   # then the rows whose KL is not finite (0 unscored)
             view.density_rows(~np.isfinite(scores))
-    keys = -scores                  # ascending, NaN last, as a stable argsort orders them
+    top = np.arange(len(scores)) if ids is None else ids    # a row left out ranks after n
+    keys = -scores[top]             # ascending, NaN last, as a stable argsort orders them
     kth = np.partition(keys, n - 1)[n - 1]
     # every word at or above the k-th best; all of them if it is NaN (too few numbers)
-    top = np.arange(len(keys)) if math.isnan(kth) else (keys <= kth).nonzero()[0]
-    order = top[np.argsort(keys[top], kind="stable")]     # best first, ties by word id
+    top = top if math.isnan(kth) else top[keys <= kth]
+    order = top[np.argsort(-scores[top], kind="stable")]     # best first, ties by word id
     return [(view.vocab.word(i), float(scores[i])) for i in order[order != qid][:k]]
 
 
@@ -536,13 +548,13 @@ def infer(bundle: ModelBundle, sentence, target_index: int, window: int) -> Gaus
     """Posterior density of the target token in its sentence window."""
     if bundle.model_kind != "bsg":
         raise SerializationError("no encoder: model kind is not bsg")
-    model = model_from_bundle(bundle)
+    view = embedding_view(bundle)
     if not (0 <= target_index < len(sentence)):
         raise ValueError("target_index out of range")
-    tid = model.vocab.lookup(sentence[target_index])
+    tid = view.vocab.lookup(sentence[target_index])
     if tid is None:
         raise KeyError(f"target {sentence[target_index]!r} out of vocabulary")
-    ctx_ids = model.vocab.ids(context_tokens(sentence, target_index, window))
+    ctx_ids = view.vocab.ids(context_tokens(sentence, target_index, window))
     if not ctx_ids:
         raise ValueError("no usable context")
-    return model.posterior(tid, ctx_ids)
+    return view.posterior(tid, ctx_ids)

@@ -22,10 +22,10 @@ from bayesgram.evaluate import (EntailmentPair, EvalError, LexsubInstance,
                                 eval_directionality, eval_entailment,
                                 eval_similarity, lexsub_rank,
                                 logdet_frequency_report)
-from bayesgram.gauss import (Gaussian, cosine, cosine_rows, kl_bounds, kl_divergence, kl_rows,
-                             log_det_cov)
-from bayesgram.serialize import (SerializationError, bundle_from_model,
-                                 embedding_view, nearest)
+from bayesgram.gauss import (Gaussian, cosine, cosine_bounds, cosine_finish, cosine_rows,
+                             kl_bounds, kl_divergence, kl_rows, log_det_cov, row_sums)
+from bayesgram.serialize import (EmbeddingView, SerializationError, bundle_from_model,
+                                 embedding_view, load_model, nearest, save_model)
 
 from helpers import tiny_vocab
 
@@ -539,6 +539,168 @@ class TestNearestByBounds:
             seen.clear()
             got = nearest(b, word, 10, "neg_kl")
             assert len(got) == 10 and 10 < sum(seen) <= 64
+
+
+@st.composite
+def cosine_cases(draw):
+    """(float64 table, query id): entries in [-4, 4], none within 2^-20 of 0, each times 1,
+    1e-30 or 1e-160 (products that underflow float32 or float64 inside a row of ordinary
+    norm); then perhaps one row times 1e19 or 1e-30 (its norm leaves [2^-40, 2^60]), a row
+    equal to the query's times 1, -1 or 2 (a cosine clipped to +-1), a zero row, and up to
+    two NaN or +-inf entries."""
+    V, d = draw(st.integers(1, 8)), draw(st.integers(1, 40))
+    t = draw(hnp.arrays(np.float64, (V, d), elements=st.floats(-4, 4).filter(
+        lambda x: abs(x) >= 2.0 ** -20)))
+    t *= draw(hnp.arrays(np.float64, (V, d),
+                         elements=st.sampled_from([1.0] * 4 + [1e-30, 1e-160])))
+    qid, row = draw(st.integers(0, V - 1)), st.integers(0, V - 1)
+    if draw(st.integers(0, 3)) == 3:
+        t[draw(row)] *= draw(st.sampled_from([1e19, 1e-30]))
+    if draw(st.booleans()):
+        t[draw(row)] = t[qid] * draw(st.sampled_from([1.0, -1.0, 2.0]))
+    if draw(st.integers(0, 4)) == 4:
+        t[draw(row)] = 0.0
+    for _ in range(max(0, draw(st.integers(-6, 2)))):
+        t[draw(row), draw(st.integers(0, d - 1))] = draw(
+            st.sampled_from([np.nan, np.inf, -np.inf]))
+    return t, qid
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=cosine_cases())
+def test_cosine_bounds_hold_for_every_row_or_it_is_unsure(dtype, case):
+    """Every row's float64 cosine key, as nearest scores it, lies in cosine_bounds's [lo, hi],
+    or the row is unsure: nearest filters only when the query's norm and every row's are in
+    [2^-40, 2^60] (so not for a NaN, an inf or a zero row), and else scores every row."""
+    table, qid = case[0].astype(dtype), case[1]
+    t64 = table.astype(np.float64)
+    with np.errstate(all="ignore"):
+        nv = np.sqrt(row_sums(t64, t64))
+        key = -cosine_finish(row_sums(t64[qid], t64), nv[qid], nv)
+    _, _, norms, least, most = EmbeddingView(tiny_vocab(len(table)), table).cosine_tables
+    assert norms.tobytes() == nv.tobytes()
+    assert np.array_equal([least, most], [nv.min(), nv.max()], equal_nan=True)
+    if not (2.0 ** -40 <= nv.min() and nv.max() <= 2.0 ** 60):
+        return                          # every row is unsure
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = cosine_bounds(table @ table[qid], nv[qid], nv, table.shape[1])
+    assert ((lo <= key) & (key <= hi)).all()
+
+
+def query_model(V=1000, d=100, dtype=np.float32):
+    """A V x d bsg prior perturbed as the benchmark's query model is (seed 0)."""
+    rng = np.random.default_rng([0, 1002])
+    model = init_bsg_model(tiny_vocab(V), TrainConfig(dim=d, seed=0), rng)
+    model.prior_mean = (model.prior_mean + rng.normal(0.0, 0.3, (V, d))).astype(dtype)
+    return model
+
+
+def counted_row_sums(monkeypatch):
+    """Patch serialize.row_sums to count the rows it sums; returns the list of counts."""
+    seen = []
+
+    def counted(a, b, out=None):
+        seen.append(int(np.prod(np.broadcast_shapes(a.shape, b.shape)[:-1])))
+        return row_sums(a, b, out=out)
+
+    monkeypatch.setattr(serialize, "row_sums", counted)
+    return seen
+
+
+class TestOneViewPerBundle:
+    """A bundle builds its EmbeddingView on first use and keeps it; the view caches the
+    cosine norms on its first cosine query."""
+
+    def test_the_view_is_built_once(self, tmp_path):
+        save_model(bundle_from_model(density_model("bsg", "diagonal")), tmp_path / "m.bin")
+        b = load_model(tmp_path / "m.bin")
+        assert "view" not in vars(b)
+        view = embedding_view(b)
+        assert embedding_view(b) is view and embedding_view(view) is view
+        assert "cosine_tables" not in vars(view)
+        nearest(b, "w1", 3)
+        assert vars(b)["view"] is view and "cosine_tables" in vars(view)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_a_repeated_query_sums_only_the_refined_rows(self, dtype, monkeypatch):
+        model = query_model(dtype=dtype)
+        b, seen = bundle_from_model(model), counted_row_sums(monkeypatch)
+        for i, word in enumerate(("w0", "w1", "w17", "w500", "w998", "w999")):
+            seen.clear()
+            got = nearest(b, word, 10)
+            assert len(got) == 10
+            table = 1000 * (i == 0)     # the first query also sums the table's v.v, once
+            assert 10 < sum(seen) - table <= 64
+        check_nearest(model, "w17", 10, "cosine_mean")
+
+    def test_a_norm_out_of_range_scores_every_row(self, monkeypatch):
+        model = density_model("w2g", "diagonal", V=40, d=7)
+        model.mean = model.mean.astype(np.float64)
+        model.mean[23] *= 1e-13                 # a norm below 2^-40
+        b, seen = bundle_from_model(model), counted_row_sums(monkeypatch)
+        for word in ("w0", "w23"):      # the first query also sums the table's v.v
+            check_nearest(model, word, 5, "cosine_mean")
+            seen.clear()
+            nearest(b, word, 5)
+            assert sum(seen) == 40 * (1 + (word == "w0"))
+
+    def test_a_changed_model_gets_a_new_bundle(self):
+        model = density_model("w2g", "diagonal", V=40, d=7)
+        b = bundle_from_model(model)
+        before = nearest(b, "w0", 3)
+        model.mean[17] = 2 * model.mean[0]
+        assert nearest(bundle_from_model(model), "w0", 3)[0] == ("w17", 1.0) != before[0]
+        check_nearest(model, "w0", 3, "cosine_mean")
+
+    @pytest.mark.parametrize("zero, bad, word, message",
+                             [(8, None, "w8", "undefined cosine: zero vector"),
+                              (8, 2, "w0", "embedding parameters must be finite"),
+                              (8, None, "w0", "undefined cosine: zero vector")])
+    def test_the_cached_norms_keep_the_errors(self, zero, bad, word, message):
+        """Every query over a view with cached norms raises as the first did: a zero query,
+        then a non-finite value, then a zero row."""
+        model = density_model("w2g", "diagonal", V=11, d=5)
+        model.mean[zero] = 0.0
+        if bad is not None:
+            model.mean[bad, 3] = np.nan
+        b = bundle_from_model(model)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                nearest(b, word, 3)
+        assert "cosine_tables" in vars(embedding_view(b))
+
+    def test_infer_reads_the_bundles_view(self, monkeypatch):
+        model = density_model("bsg", "diagonal")
+        b, built = bundle_from_model(model), []
+        monkeypatch.setattr(serialize, "model_from_bundle",
+                            lambda bundle: built.append(bundle) or model)
+        g = [serialize.infer(b, ["w1", "w2", "w3"], 1, 1) for _ in range(3)]
+        nearest(b, "w1", 3)
+        assert built == [b]
+        want = model.posterior(2, [1, 3])
+        assert all(np.array_equal(x.mean, want.mean) for x in g)
+
+    def test_near_ties_rank_as_the_whole_table(self, monkeypatch):
+        """Rows a few float32 ulps from the query's differ in cosine by less than the
+        filter's bound, so the filter keeps them all and their exact scores decide: for
+        every k, words and bits are the whole table's stable sort."""
+        model = density_model("w2g", "diagonal", V=40, d=5)
+        rng = np.random.default_rng(3)
+        steps = rng.integers(-3, 4, (30, 5)) * np.spacing(model.mean[0])
+        model.mean[10:] = model.mean[0] + steps.astype(np.float32)
+        model.mean[[12, 20]] = model.mean[15]
+        table = model.mean.astype(np.float64)
+        want = cosine_rows(table[0], table)
+        order = sorted(range(1, 40), key=lambda i: (-want[i], i))
+        assert len(set(want[10:])) > 5
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 3 * 5)
+        b = bundle_from_model(model)
+        for k in range(1, 42):
+            got = nearest(b, "w0", k)
+            assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
+            assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
 
 
 # -------------------------------------------------------------------- evals
