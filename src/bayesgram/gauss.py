@@ -98,42 +98,57 @@ def kl_parts(mu1, lv1, mu2, lv2):
             fold(0.5 * (1.0 - ratio - mahal), lv2, d))
 
 
-def kl_bounds(mu1, lv1, blocks, V):
-    """(lo, hi) around kl_rows(mu1, lv1, mu2, lv2) for the V rows of the (slice, (mu2, lv2))
-    blocks, by one exp per element: 2K~ = P + sum lv2 - sum (lv1 + 1), P = sum e^-lv2 (e^lv1 +
-    (mu1 - mu2)^2). (-inf, inf) if K~ is not finite or past 1e300, else K~ -+ g (P + 2|K~| +
-    2d + 2 sum|lv1|). Why, with u = 2^-53 and exp within 4u: 2K~ and 2 kl_rows are within
-    (d + 16)u S and (d + 720)u S of the exact 2K, S = P + d + sum|lv1| + sum|lv2|, as P's
-    terms are >= 0, a finite exp(lv1 - lv2) is off by |lv1 - lv2|u < 710u and an underflow
-    costs a term < 2^-51. |x| <= e^x - x <= 1 + a term of 2K at x = lv1 - lv2, so sum|lv2| <=
-    sum|lv1| + d + 2K: g = (d + 368)u to first order; 2^-46 (d + 400) is 128 times that."""
-    d, lq, P, S, D = mu1.shape[-1], np.broadcast_to(lv1, mu1.shape), np.empty(V), np.empty(V), None
+def kl_bounds(mu1, lv1, blocks, V, sums):
+    """(lo, hi) around kl_rows(mu1, lv1, mu2, lv2) for the V rows of the (slice, (mu2, lv2)) blocks
+    as stored, s the dtype of e^-lv2; sums holds each row's c = sum E mu2^2 (inf if an lv2 > L =
+    log(1/4t_s), or NaN) and w = c + sum lv2, or is empty for this pass to fill. In s: E = e^-lv2,
+    X, Y = E.a, E.m, Z = (E mu2).mu1 for a = e^lv1 + mu1^2, m = mu1^2 rounded up (summed for a
+    spherical lv2); 2K~ = fl_s(X - 2Z) + w - sum(lv1 + 1). (-inf, inf) for all rows if an lv1 < -L
+    or (d + 32)u_s > 2^-8, for a row if K~ is not finite or past 1e300; else K~ -+ gT, g =
+    2(d + 32)u_s + 2(d + 720)u, T = X + Y + 2c + 2|K~| + 2d + 2 sum|lv1|, u (u_s, t_s) float64's
+    (s's) unit roundoff (least normal). Why: exp in s errs by 8u_s, a cast by 2u_s, an n-term dot
+    product by nu_s of its terms' sizes (Higham 3.1); as 2|E mu2 mu1| <= E (m + mu2^2) and |x| <=
+    e^x - x at x = lv1 - lv2, X, 2Z, c, X - 2Z, sum lv2, float64 sums err by (d + 17)u_s X,
+    (d + 11)u_s (Y + c), (d + 10)u_s c, u_s (X + Y + c), du_s (d + sum|lv1| + 2K) and 4uT: 2K~ by
+    (d + 21)u_s T; 2 kl_rows by (d + 720)u (P + d + sum|lv1| + sum|lv2|) <= 2(d + 720)u T, P = sum E
+    (e^lv1 + (mu1 - mu2)^2), its exp(x) by < 692u at K < 1e300. As E, a >= 4t_s, underflow costs <
+    t_s (2t_s^(1/2) in E mu2 mu1, mu1^2 < a); overflow leaves K~ not finite. gT doubles it."""
+    d, X, q, lq = mu1.shape[-1], None, mu1[0], np.broadcast_to(lv1, mu1.shape)[0]
+    c, w = (sums["c"], sums["w"]) if sums else (np.empty(V), np.empty(V))
     for s, (mu2, lv2) in blocks:
-        if D is None:           # the first block is the longest: tile the query to it
-            m1, e1 = np.repeat(mu1, len(mu2), 0), np.repeat(np.exp(lv1), len(mu2), 0)
-            D, E = np.empty(m1.shape), np.empty(lv2.shape)
-        n, dd, ee = len(mu2), D[:len(mu2)], E[:len(mu2)]
-        dd[...], ee[...] = mu2, lv2     # cast by copy: a mixed-type ufunc is slower
-        np.add(np.square(np.subtract(dd, m1[:n], out=dd), out=dd), e1[:n], out=dd)
-        np.einsum("ij->i", ee, out=S[s])
-        row_sums(np.exp(np.negative(ee, out=ee), out=ee), dd, out=P[s])
-    K = 0.5 * (P + S * (d // E.shape[1]) - np.sum(lq) - d)
-    b = 2.0 ** -46 * (d + 400) * (P + 2 * np.abs(K) + 2 * d + 2 * np.sum(np.abs(lq)))
+        e = np.exp(np.negative(lv2))
+        if X is None:       # the query's columns [a, m] and mean in s; out of range, g = inf
+            f = np.finfo(e.dtype)
+            L = float(np.log(0.25 / f.tiny)) if (d + 32) * f.eps <= 2.0 ** -7 else -np.inf
+            g = (d + 32) * float(f.eps) + (d + 720) * 2.0 ** -52 if lq.min() >= -L else np.inf
+            cols = fold(np.stack([np.exp(lq) + q * q, q * q]), lv2, d).T.astype(f.dtype)
+            cols[:, 1] = np.nextafter(cols[:, 1], np.inf)
+            mq, X, Z = q.astype(f.dtype), np.empty((V, 2), f.dtype), np.empty(V, f.dtype)
+        em = e * mu2
+        np.matmul(e, cols, out=X[s])
+        np.matmul(em, mq, out=Z[s])
+        if not sums:
+            c[s], w[s] = row_sums(em, mu2), np.einsum("ij->i", lv2) * (d // lv2.shape[1])
+            if not lv2.max() <= L:
+                c[s][~(lv2.max(axis=1) <= L)] = np.inf
+    sums.update(c=c, w=w if sums else np.add(c, w, out=w))
+    K = 0.5 * (np.add(X[:, 0] - 2 * Z, w) - (np.sum(lq) + d))
     sure = np.abs(K) <= 1e300
+    b = g * (X.sum(1) + 2 * (c + np.abs(K) + d + np.sum(np.abs(lq))))
     return np.where(sure, K - b, -np.inf), np.where(sure, K + b, np.inf)
 
 
 def cosine_bounds(y, nq, nv, d):
-    """(lo, hi) around each key -cosine_finish(row_sums(q, v), nq, nv) from y = T @ q in T's
-    dtype s, float64 norms nq, nv in [2^-40, 2^60] and d <= 2^23: -y/N -+ b, N = nq nv, b =
-    4d(u_s + 2u) + 16u + 2^83 d(t_s + t), u (u_s) float64's (s's) unit roundoff, t (t_s) least
-    normal. Why, with A = sum|q_i v_i| <= |q||v| <= 2^120: y and the float64 sum are within 2d
-    u_s A + 2d t_s and 2du A + 2d t of q.v in any order, with or without FMA (Higham 3.1; an
-    underflow, gradual or to 0, errs by < t). Norms within (d/2 + 1)u give A/N <= 1 + (d + 3)u;
-    each quotient by N and lo, hi round by u, today's clip moves < (3d + 5)u: all sum below b."""
-    f, k = np.finfo(y.dtype), y / (-nq * nv)
+    """(keys, b), each key -cosine_finish(row_sums(q, v), nq, nv) within b of -y/N, from y = T @ q
+    in T's dtype s, float64 norms nq, nv in [2^-40, 2^60] and d <= 2^23: N = nq nv, b = 4d(u_s +
+    2u) + 16u + 2^83 d(t_s + t), u (u_s) float64's (s's) unit roundoff, t (t_s) least normal. Why,
+    with A = sum|q_i v_i| <= |q||v| <= 2^120: y and the float64 sum are within 2d u_s A + 2d t_s
+    and 2du A + 2d t of q.v in any order, with or without FMA (Higham 3.1; an underflow, gradual or
+    to 0, errs by < t). Norms within (d/2 + 1)u give A/N <= 1 + (d + 3)u; a quotient by N rounds by
+    u, the clip moves < (3d + 5)u, the n-th least key + 2b by < 2u, u per key: all sum below b."""
+    f, k = np.finfo(y.dtype), nv * -nq
     b = d * (2 * float(f.eps) + 2 ** -50 + 2 ** 83 * (float(f.tiny) + 2 ** -1022)) + 2 ** -49
-    return k - b, k + b
+    return np.divide(y, k, out=k), b
 
 
 def fold(g, lv, d):

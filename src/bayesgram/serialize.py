@@ -434,12 +434,13 @@ def load_model(path) -> ModelBundle:
 class EmbeddingView:
     """The word tables that nearest and every evaluation read, shared with the model: means
     V x d; log_vars V x 1 (spherical), V x d, or None for point vectors; posterior(center,
-    contexts), the encoder's density, or None. It and its cached cosine_tables hold while those
-    arrays are unchanged: code writing to them builds a new bundle."""
+    contexts), the encoder's density, or None. It and its cosine_tables and kl_sums hold while
+    those arrays are unchanged: code writing to them builds a new bundle."""
     vocab: Vocabulary
     means: np.ndarray
     log_vars: np.ndarray = None
     posterior: object = None
+    kl_sums = cached_property(lambda self: {})      # kl_bounds's row sums, filled by its first pass
 
     def __post_init__(self):    # a spherical V-vector becomes a V x 1 column
         if self.log_vars is not None:
@@ -498,10 +499,10 @@ def embedding_view(source) -> EmbeddingView:
 
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
     """Top-k neighbors of `word` by cosine of means or negated KL, ties by word id, the query
-    excluded. Filter: cosine_bounds of one product in the stored dtype over the view's norms
-    (valid while the bundle's arrays are unchanged) or, past one block, kl_bounds. Refine:
-    cosine_finish of row_sums, or kl_rows, in float64 for the rows that may reach the top
-    k + 1, which alone are ranked. A stored non-finite value raises (see _finite)."""
+    excluded. Filter, in the stored dtype: cosine_bounds of one product over the view's norms
+    or, past one block, kl_bounds over its kl_sums (valid while the bundle's arrays are
+    unchanged). Refine: cosine_finish of row_sums, or kl_rows, in float64 for the rows that
+    may reach the top k + 1, which alone are ranked. A stored non-finite value raises."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -515,23 +516,22 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
         table, vv, nv, least, most = view.cosine_tables
         nq, q = norms(vv[qid]), np.asarray(view.means[qid], np.float64)  # a zero query first,
         if 2.0 ** -40 <= least and most <= 2.0 ** 60:   # sure bounds (nq among the norms)
-            lo, hi = cosine_bounds(table @ table[qid], nq, nv, table.shape[1])
-            ids = (lo <= np.partition(hi, n - 1)[n - 1]).nonzero()[0]  # may reach the top n
+            key, b = cosine_bounds(table @ table[qid], nq, nv, table.shape[1])
+            ids = (key <= np.partition(key, n - 1)[n - 1] + 2 * b).nonzero()[0]  # may reach top n
         else:                   # then a stored non-finite value raises, then a zero row
             view.mean_rows(~np.isfinite(vv)), norms(vv)
         for i, m in view.blocks(lambda s: np.asarray(view.means[s], np.float64), ids):
             scores[i] = cosine_finish(row_sums(q, m), nq, nv[i])
     else:
-        def rows(s):
-            return [np.asarray(t[s], np.float64) for t in (view.means, view.log_vars)]
         q_mu, q_lv = view.density_rows(slice(qid, qid + 1))    # raises first for a bad query
         with np.errstate(over="ignore", invalid="ignore"):
             if view.means.size > BLOCK_FLOATS:      # past one block: filter, then refine
-                lo, hi = kl_bounds(q_mu, q_lv, view.blocks(
-                    lambda s: (view.means[s], view.log_vars[s])), len(scores))
+                pairs = view.blocks(lambda s: (view.means[s], view.log_vars[s]))  # as stored
+                lo, hi = kl_bounds(q_mu, q_lv, pairs, len(scores), view.kl_sums)
                 t = np.partition(hi, n - 1)[n - 1]      # n rows have a KL of at most t
                 ids = None if t == np.inf else (lo <= t).nonzero()[0]
-            for i, (mu, lv) in view.blocks(rows, ids):
+            for i, (mu, lv) in view.blocks(lambda s: [np.asarray(t[s], np.float64) for t in (
+                    view.means, view.log_vars)], ids):
                 scores[i] = -kl_rows(q_mu, q_lv, mu, lv)
         if not np.isfinite(scores).all():   # then the rows whose KL is not finite (0 unscored)
             view.density_rows(~np.isfinite(scores))

@@ -259,7 +259,7 @@ def test_kl_bounds_hold_or_the_row_is_unsure(case):
     q_mu, q_lv, mean, lv, n = case
     blocks = [(slice(i, i + n), (mean[i:i + n], lv[i:i + n])) for i in range(0, len(mean), n)]
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = kl_bounds(q_mu, q_lv, blocks, len(mean))
+        lo, hi = kl_bounds(q_mu, q_lv, blocks, len(mean), {})
         kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
     unsure = (lo == -np.inf) & (hi == np.inf)
     assert (unsure | ((lo <= kl) & (kl <= hi))).all()
@@ -271,11 +271,49 @@ def test_kl_bounds_are_unsure_exactly_past_1e300_or_not_finite():
     mu = np.zeros((5, 1))
     lv = np.array([[0.0], [-691.0], [-700.0], [-800.0], [np.nan]])   # 2K ~ e^(-lv2)
     with np.errstate(over="ignore", invalid="ignore"):
-        lo, hi = kl_bounds(mu[:1], np.zeros((1, 1)), [(slice(0, 5), (mu, lv))], 5)
+        lo, hi = kl_bounds(mu[:1], np.zeros((1, 1)), [(slice(0, 5), (mu, lv))], 5, {})
         kl = kl_rows(mu[:1], np.zeros((1, 1)), mu, lv)
     assert np.isfinite(lo[:2]).all() and np.isfinite(hi[:2]).all()
     assert (lo[:2] <= kl[:2]).all() and (kl[:2] <= hi[:2]).all()
     assert (lo[2:] == -np.inf).all() and (hi[2:] == np.inf).all()
+
+
+@st.composite
+def in_range_tables(draw):
+    """(query mean, query log-variance, means, log-variances, block rows) of a float32 or
+    float64 table inside kl_bounds's range and a query of the same dtype: means uniform in
+    +-1e3 and log-variances in +-20, each times a drawn scale; then up to V rows the query's
+    with each mean moved by up to 4 ulps (near-zero KLs, found by cancellation), and up to
+    four log-variances set to L - 1 in a row (e^-lv near the least normal) or to 1 - L in the
+    query, L = log(1/4 t), t the dtype's least normal; V from 1 to 12, d from 1 to 101."""
+    V, d = draw(st.integers(1, 12)), draw(st.integers(1, 101))
+    w, dtype = draw(st.sampled_from([1, d])), draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    mean = (rng.uniform(-1e3, 1e3, (V + 1, d)) * draw(st.sampled_from([1e-3, 1.0]))).astype(dtype)
+    lv = (rng.uniform(-20.0, 20.0, (V + 1, w)) * draw(st.sampled_from([1e-3, 0.1, 1.0]))).astype(
+        dtype)
+    near = draw(st.integers(0, V))
+    mean[1:near + 1] = mean[0] + rng.integers(-4, 5, (near, d)) * np.spacing(mean[0])
+    lv[1:near + 1] = lv[0]
+    L = np.log(0.25 / np.finfo(dtype).tiny)
+    for _ in range(draw(st.integers(0, 4))):
+        i = draw(st.integers(0, V))
+        lv[i, draw(st.integers(0, w - 1))] = 1 - L if i == 0 else L - 1
+    return mean[:1].astype(np.float64), lv[:1].astype(np.float64), mean[1:], lv[1:], draw(
+        st.integers(1, V))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(in_range_tables())
+def test_kl_bounds_in_range_are_sure_and_hold(case):
+    """Inside the range no row is unsure, and each row's (lo, hi) holds kl_rows's bits."""
+    q_mu, q_lv, mean, lv, n = case
+    blocks = [(slice(i, i + n), (mean[i:i + n], lv[i:i + n])) for i in range(0, len(mean), n)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = kl_bounds(q_mu, q_lv, blocks, len(mean), {})
+    kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
+    assert ((lo <= kl) & (kl <= hi)).all()
 
 
 def test_log_density_rows_spherical_column():

@@ -480,7 +480,7 @@ class TestNearestByBounds:
         lvs = np.repeat(lv[row:row + 1], 800, 0)
         kl = kl_rows(mu[qid], lv[qid], means, lvs)
         _, hi = kl_bounds(mu[qid:qid + 1], lv[qid:qid + 1], [(slice(None), (means, lvs))],
-                          len(means))
+                          len(means), {})
         _, first = np.unique(kl, return_index=True)          # one row per KL, ascending
         gaps = np.diff(kl[first]) / np.spacing(kl[first][:-1])
         for i in range(len(first) - n + 1):
@@ -516,10 +516,12 @@ class TestNearestByBounds:
             assert [w for w, _ in got] == [f"w{i}" for i in order[:k]]
             assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
-    def test_kl_rows_scores_few_rows_of_a_query_model(self, cov_kind, monkeypatch):
-        """A 1k x 100 prior perturbed as the benchmark's query model is (seed 0): each
-        k = 10 query sends at most 64 of its 1,000 rows to kl_rows."""
+    def test_kl_rows_scores_few_rows_of_a_query_model(self, cov_kind, dtype, monkeypatch):
+        """A 1k x 100 prior perturbed as the benchmark's query model is (seed 0), stored as
+        float32 or cast to float64: each k = 10 query sends at most 64 of its 1,000 rows to
+        kl_rows."""
         V, d = 1000, 100
         rng = np.random.default_rng([0, 1002])
         model = init_bsg_model(tiny_vocab(V), TrainConfig(dim=d, cov_kind=cov_kind, seed=0),
@@ -527,6 +529,8 @@ class TestNearestByBounds:
         model.prior_mean += rng.normal(0.0, 0.3, (V, d)).astype(np.float32)
         model.prior_log_var += rng.normal(0.0, 0.5, model.prior_log_var.shape).astype(
             np.float32)
+        model.prior_mean, model.prior_log_var = (
+            t.astype(dtype) for t in (model.prior_mean, model.prior_log_var))
         seen = []
 
         def counted(mu1, lv1, mu2, lv2):
@@ -540,6 +544,68 @@ class TestNearestByBounds:
             got = nearest(b, word, 10, "neg_kl")
             assert len(got) == 10 and 10 < sum(seen) <= 64
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("case", ["query log-variance", "row log-variances", "row means"])
+    def test_a_table_out_of_range_scores_every_row(self, case, dtype, monkeypatch):
+        """If the query has a log-variance below -L, every row one above L (L = log(1/4t), t
+        the dtype's least normal), or every row a mean whose square overflows, kl_bounds leaves
+        every row unsure: kl_rows scores all 40 rows and they rank as the whole table."""
+        model = density_model("w2g", "diagonal", V=40, d=7)
+        model.mean, model.log_var = (t.astype(dtype) for t in density_tables(model))
+        L = np.log(0.25 / np.finfo(dtype).tiny)
+        if case == "query log-variance":
+            model.log_var[0, 3] = -L - 1
+        elif case == "row log-variances":
+            model.log_var[:, 2] = L + 1
+        else:
+            model.mean[:, 0] = 2 * np.sqrt(np.finfo(dtype).max)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 3 * 7)
+        seen = []
+
+        def counted(mu1, lv1, mu2, lv2):
+            seen.append(len(mu2))
+            return kl_rows(mu1, lv1, mu2, lv2)
+
+        monkeypatch.setattr(serialize, "kl_rows", counted)
+        check_nearest(model, "w0", 5, "neg_kl")
+        assert sum(seen) == 40
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    def test_a_query_writes_nothing_into_the_model(self, cov_kind, dtype, monkeypatch):
+        """Past one block, nearest by either measure and infer leave every array of the
+        bundle with its dtype and bytes."""
+        rng = np.random.default_rng(4)
+        model = init_bsg_model(tiny_vocab(40), TrainConfig(dim=7, hidden_dim=4, cov_kind=cov_kind,
+                                                           param_dtype=dtype), rng)
+        model.prior_mean += rng.normal(size=model.prior_mean.shape).astype(dtype)
+        model.prior_log_var += rng.normal(0.0, 0.5, model.prior_log_var.shape).astype(dtype)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 3 * 7)
+        b = bundle_from_model(model)
+        before = {name: (a.dtype, a.tobytes()) for name, a in b.arrays.items()}
+        for word in ("w0", "w17", "w39"):
+            for measure in MEASURES:
+                nearest(b, word, 5, measure)
+            serialize.infer(b, ["w1", word, "w2"], 1, 1)
+        assert {name: (a.dtype, a.tobytes()) for name, a in b.arrays.items()} == before
+
+    def test_the_kl_sums_are_built_once(self):
+        """The first negated-KL query fills the view's kl_sums; later queries reuse them, and
+        they give the bounds of a fresh pass, bit for bit."""
+        b = bundle_from_model(query_model())
+        view = embedding_view(b)
+        assert "kl_sums" not in vars(view)
+        nearest(b, "w1", 10, "neg_kl")
+        sums = dict(view.kl_sums)
+        nearest(b, "w17", 10, "neg_kl")
+        assert view.kl_sums.keys() == {"c", "w"}
+        assert all(view.kl_sums[k] is sums[k] for k in sums)
+        mu, lv = view.density_rows(slice(17, 18))
+        blocks = list(view.blocks(lambda s: (view.means[s], view.log_vars[s])))
+        with np.errstate(over="ignore", invalid="ignore"):
+            got, want = kl_bounds(mu, lv, blocks, 1000, sums), kl_bounds(mu, lv, blocks, 1000, {})
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
 
 @st.composite
 def cosine_cases(draw):
@@ -549,8 +615,8 @@ def cosine_cases(draw):
     equal to the query's times 1, -1 or 2 (a cosine clipped to +-1), a zero row, and up to
     two NaN or +-inf entries."""
     V, d = draw(st.integers(1, 8)), draw(st.integers(1, 40))
-    t = draw(hnp.arrays(np.float64, (V, d), elements=st.floats(-4, 4).filter(
-        lambda x: abs(x) >= 2.0 ** -20)))
+    t = draw(hnp.arrays(np.float64, (V, d), elements=st.builds(
+        lambda m, sign: sign * m, st.floats(2.0 ** -20, 4), st.sampled_from([1.0, -1.0]))))
     t *= draw(hnp.arrays(np.float64, (V, d),
                          elements=st.sampled_from([1.0] * 4 + [1e-30, 1e-160])))
     qid, row = draw(st.integers(0, V - 1)), st.integers(0, V - 1)
@@ -585,7 +651,8 @@ def test_cosine_bounds_hold_for_every_row_or_it_is_unsure(dtype, case):
         return                          # every row is unsure
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        lo, hi = cosine_bounds(table @ table[qid], nv[qid], nv, table.shape[1])
+        key64, b = cosine_bounds(table @ table[qid], nv[qid], nv, table.shape[1])
+        lo, hi = key64 - b, key64 + b
     assert ((lo <= key) & (key <= hi)).all()
 
 
