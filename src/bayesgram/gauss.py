@@ -98,10 +98,11 @@ def kl_parts(mu1, lv1, mu2, lv2):
             fold(0.5 * (1.0 - ratio - mahal), lv2, d))
 
 
-def kl_bounds(mu1, lv1, blocks, V, sums):
+def kl_bounds(mu1, lv1, blocks, V, sums, tables=None):
     """(lo, hi) around kl_rows(mu1, lv1, mu2, lv2) for the V rows of the (slice, (mu2, lv2)) blocks
     as stored, s the dtype of e^-lv2; sums holds each row's c = sum E mu2^2 (inf if an lv2 > L =
-    log(1/4t_s), or NaN) and w = c + sum lv2, or is empty for this pass to fill. In s: E = e^-lv2,
+    log(1/4t_s), or NaN) and w = c + sum lv2, or is empty for this pass to fill. Given filled sums,
+    tables = (E, E mu2) of all V rows in s replaces the blocks: one product each. In s: E = e^-lv2,
     X, Y = E.a, E.m, Z = (E mu2).mu1 for a = e^lv1 + mu1^2, m = mu1^2 rounded up (summed for a
     spherical lv2); 2K~ = fl_s(X - 2Z) + w - sum(lv1 + 1). (-inf, inf) for all rows if an lv1 < -L
     or (d + 32)u_s > 2^-8, for a row if K~ is not finite or past 1e300; else K~ -+ gT, g =
@@ -109,22 +110,23 @@ def kl_bounds(mu1, lv1, blocks, V, sums):
     (s's) unit roundoff (least normal). Why: exp in s errs by 8u_s, a cast by 2u_s, an n-term dot
     product by nu_s of its terms' sizes (Higham 3.1); as 2|E mu2 mu1| <= E (m + mu2^2) and |x| <=
     e^x - x at x = lv1 - lv2, X, 2Z, c, X - 2Z, sum lv2, float64 sums err by (d + 17)u_s X,
-    (d + 11)u_s (Y + c), (d + 10)u_s c, u_s (X + Y + c), du_s (d + sum|lv1| + 2K) and 4uT: 2K~ by
-    (d + 21)u_s T; 2 kl_rows by (d + 720)u (P + d + sum|lv1| + sum|lv2|) <= 2(d + 720)u T, P = sum E
-    (e^lv1 + (mu1 - mu2)^2), its exp(x) by < 692u at K < 1e300. As E, a >= 4t_s, underflow costs <
-    t_s (2t_s^(1/2) in E mu2 mu1, mu1^2 < a); overflow leaves K~ not finite. gT doubles it."""
+    (d + 11)u_s (Y + c), (d + 10)u_s c, u_s (X + Y + c), du_s (d + sum|lv1| + 2K) and 4uT in any
+    summation order (so by blocks or whole tables alike): 2K~ by (d + 21)u_s T; 2 kl_rows by
+    (d + 720)u (P + d + sum|lv1| + sum|lv2|) <= 2(d + 720)u T, P = sum E (e^lv1 + (mu1 - mu2)^2),
+    its exp(x) by < 692u at K < 1e300. As E, a >= 4t_s, underflow costs < t_s (2t_s^(1/2) in
+    E mu2 mu1, mu1^2 < a); overflow leaves K~ not finite. gT doubles it."""
     d, X, q, lq = mu1.shape[-1], None, mu1[0], np.broadcast_to(lv1, mu1.shape)[0]
     c, w = (sums["c"], sums["w"]) if sums else (np.empty(V), np.empty(V))
-    for s, (mu2, lv2) in blocks:
-        e = np.exp(np.negative(lv2))
+    for s, (mu2, lv2) in blocks if tables is None else [(slice(None), tables[::-1])]:
+        e = lv2 if tables else np.exp(np.negative(lv2))     # tables: (E mu2, E) for (mu2, lv2)
         if X is None:       # the query's columns [a, m] and mean in s; out of range, g = inf
             f = np.finfo(e.dtype)
             L = float(np.log(0.25 / f.tiny)) if (d + 32) * f.eps <= 2.0 ** -7 else -np.inf
             g = (d + 32) * float(f.eps) + (d + 720) * 2.0 ** -52 if lq.min() >= -L else np.inf
-            cols = fold(np.stack([np.exp(lq) + q * q, q * q]), lv2, d).T.astype(f.dtype)
+            cols = fold(np.stack([np.exp(lq) + q * q, q * q]), lv2, d).T.astype(f.dtype, "C")
             cols[:, 1] = np.nextafter(cols[:, 1], np.inf)
             mq, X, Z = q.astype(f.dtype), np.empty((V, 2), f.dtype), np.empty(V, f.dtype)
-        em = e * mu2
+        em = mu2 if tables else e * mu2
         np.matmul(e, cols, out=X[s])
         np.matmul(em, mq, out=Z[s])
         if not sums:
@@ -134,7 +136,7 @@ def kl_bounds(mu1, lv1, blocks, V, sums):
     sums.update(c=c, w=w if sums else np.add(c, w, out=w))
     K = 0.5 * (np.add(X[:, 0] - 2 * Z, w) - (np.sum(lq) + d))
     sure = np.abs(K) <= 1e300
-    b = g * (X.sum(1) + 2 * (c + np.abs(K) + d + np.sum(np.abs(lq))))
+    b = g * (X[:, 0] + X[:, 1] + 2 * (c + np.abs(K) + d + np.sum(np.abs(lq))))
     return np.where(sure, K - b, -np.inf), np.where(sure, K + b, np.inf)
 
 

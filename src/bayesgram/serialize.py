@@ -434,13 +434,22 @@ def load_model(path) -> ModelBundle:
 class EmbeddingView:
     """The word tables that nearest and every evaluation read, shared with the model: means
     V x d; log_vars V x 1 (spherical), V x d, or None for point vectors; posterior(center,
-    contexts), the encoder's density, or None. It and its cosine_tables and kl_sums hold while
-    those arrays are unchanged: code writing to them builds a new bundle."""
+    contexts), the encoder's density, or None. It and its cosine_tables, kl_sums and kl_tables
+    hold while those arrays are unchanged: code writing to them builds a new bundle. The first
+    negated-KL query keeps two |V|-long sums; the second builds kl_tables, (e^-lv, e^-lv means)
+    as stored: 2|V|d values (diagonal) or |V|(d + 1) (spherical)."""
     vocab: Vocabulary
     means: np.ndarray
     log_vars: np.ndarray = None
     posterior: object = None
     kl_sums = cached_property(lambda self: {})      # kl_bounds's row sums, filled by its first pass
+
+    @cached_property
+    def kl_tables(self):
+        """(e^-lv, e^-lv means) as stored, kl_bounds's tables."""
+        e = np.negative(self.log_vars)
+        np.exp(e, out=e)            # in place: one fresh |V| x w array, not two
+        return e, e * self.means
 
     def __post_init__(self):    # a spherical V-vector becomes a V x 1 column
         if self.log_vars is not None:
@@ -500,9 +509,10 @@ def embedding_view(source) -> EmbeddingView:
 def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"):
     """Top-k neighbors of `word` by cosine of means or negated KL, ties by word id, the query
     excluded. Filter, in the stored dtype: cosine_bounds of one product over the view's norms
-    or, past one block, kl_bounds over its kl_sums (valid while the bundle's arrays are
-    unchanged). Refine: cosine_finish of row_sums, or kl_rows, in float64 for the rows that
-    may reach the top k + 1, which alone are ranked. A stored non-finite value raises."""
+    or, past one block, kl_bounds over its kl_sums and, from the view's second negated-KL query
+    on, its kl_tables (valid while the bundle's arrays are unchanged). Refine: cosine_finish of
+    row_sums, or kl_rows, in float64 for the rows that may reach the top k + 1, which alone are
+    ranked. A stored non-finite value raises."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if measure not in ("cosine_mean", "neg_kl"):
@@ -527,7 +537,8 @@ def nearest(bundle: ModelBundle, word: str, k: int, measure: str = "cosine_mean"
         with np.errstate(over="ignore", invalid="ignore"):
             if view.means.size > BLOCK_FLOATS:      # past one block: filter, then refine
                 pairs = view.blocks(lambda s: (view.means[s], view.log_vars[s]))  # as stored
-                lo, hi = kl_bounds(q_mu, q_lv, pairs, len(scores), view.kl_sums)
+                lo, hi = kl_bounds(q_mu, q_lv, pairs, len(scores), view.kl_sums,
+                                   view.kl_tables if view.kl_sums else None)
                 t = np.partition(hi, n - 1)[n - 1]      # n rows have a KL of at most t
                 ids = None if t == np.inf else (lo <= t).nonzero()[0]
             for i, (mu, lv) in view.blocks(lambda s: [np.asarray(t[s], np.float64) for t in (

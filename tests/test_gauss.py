@@ -8,6 +8,7 @@ from hypothesis.extra import numpy as hnp
 from bayesgram.gauss import (Gaussian, cosine, cosine_rows, fold, kl_bounds, kl_divergence,
                              kl_parts, kl_rows, log_density, log_density_rows, log_det_cov)
 from bayesgram.oracles import kl_quadrature_oracle
+from bayesgram.serialize import EmbeddingView
 
 
 def g(mean, log_var):
@@ -312,6 +313,39 @@ def test_kl_bounds_in_range_are_sure_and_hold(case):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         lo, hi = kl_bounds(q_mu, q_lv, blocks, len(mean), {})
+    kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
+    assert ((lo <= kl) & (kl <= hi)).all()
+
+
+def table_bounds(q_mu, q_lv, mean, lv, n):
+    """kl_bounds over a view's kl_tables of (mean, lv), with the sums a pass by blocks of n
+    rows filled, as nearest's second and later queries run it."""
+    blocks = [(slice(i, i + n), (mean[i:i + n], lv[i:i + n])) for i in range(0, len(mean), n)]
+    sums = {}
+    kl_bounds(q_mu, q_lv, blocks, len(mean), sums)
+    return kl_bounds(q_mu, q_lv, blocks, len(mean), sums, EmbeddingView(None, mean, lv).kl_tables)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(bound_tables())
+def test_kl_bounds_on_the_tables_hold_or_the_row_is_unsure(case):
+    """As test_kl_bounds_hold_or_the_row_is_unsure, through the tables."""
+    q_mu, q_lv, mean, lv, n = case
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi = table_bounds(q_mu, q_lv, mean, lv, n)
+        kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
+    unsure = (lo == -np.inf) & (hi == np.inf)
+    assert (unsure | ((lo <= kl) & (kl <= hi))).all()
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(in_range_tables())
+def test_kl_bounds_on_the_tables_in_range_are_sure_and_hold(case):
+    """As test_kl_bounds_in_range_are_sure_and_hold, through the tables."""
+    q_mu, q_lv, mean, lv, n = case
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lo, hi = table_bounds(q_mu, q_lv, mean, lv, n)
     kl = kl_rows(q_mu, q_lv, mean.astype(np.float64), lv.astype(np.float64))
     assert ((lo <= kl) & (kl <= hi)).all()
 

@@ -770,6 +770,97 @@ class TestOneViewPerBundle:
             assert np.array([s for _, s in got]).tobytes() == want[order[:k]].tobytes()
 
 
+def kl_query_model(cov_kind, dtype, V=1000, d=100):
+    """A V x d bsg prior, mean and log-variance perturbed as the benchmark's query model
+    is (seed 0), stored as float32 or cast to float64."""
+    rng = np.random.default_rng([0, 1002])
+    model = init_bsg_model(tiny_vocab(V), TrainConfig(dim=d, cov_kind=cov_kind, seed=0), rng)
+    model.prior_mean += rng.normal(0.0, 0.3, (V, d)).astype(np.float32)
+    model.prior_log_var += rng.normal(0.0, 0.5, model.prior_log_var.shape).astype(np.float32)
+    model.prior_mean, model.prior_log_var = (
+        t.astype(dtype) for t in (model.prior_mean, model.prior_log_var))
+    return model
+
+
+def own_arrays(view, bundle):
+    """The arrays a view caches that share no memory with the bundle's arrays."""
+    def arrays(x):
+        if isinstance(x, np.ndarray):
+            return [x]
+        items = x.values() if isinstance(x, dict) else x if isinstance(x, tuple) else ()
+        return [a for item in items for a in arrays(item)]
+
+    return [a for a in arrays(tuple(vars(view).values()))
+            if not any(np.shares_memory(a, t) for t in bundle.arrays.values())]
+
+
+class TestKlTables:
+    """From a view's second negated-KL query on, kl_bounds reads the view's kl_tables,
+    (e^-lv, e^-lv means) in the stored dtype, through one product each; the first query
+    streams the table by blocks and keeps only the two |V|-long kl_sums."""
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    @pytest.mark.parametrize("size", ["40 x 7, 3-row blocks", "1k x 100"])
+    def test_repeated_queries_give_fresh_bundle_results(self, size, cov_kind, dtype,
+                                                         monkeypatch):
+        """One bundle queried word after word (the first query streams, the second builds
+        the tables, the rest read them) returns, for each word, the words and score bits of
+        a fresh bundle's first query."""
+        if size == "1k x 100":
+            model, words = kl_query_model(cov_kind, dtype), ["w0", "w17", "w500", "w999"]
+        else:
+            model = density_model("w2g", cov_kind, V=40, d=7)
+            model.mean, model.log_var = (t.astype(dtype) for t in density_tables(model))
+            words = ["w0", "w17", "w39", "w5"]
+            monkeypatch.setattr(serialize, "BLOCK_FLOATS", 3 * 7)
+        b = bundle_from_model(model)
+        for word, k in zip(words + words[::-1], [10, 1, 30, 10, 5, 10, 1, 30]):
+            got = nearest(b, word, k, "neg_kl")
+            want = nearest(bundle_from_model(model), word, k, "neg_kl")
+            assert [w for w, _ in got] == [w for w, _ in want] and len(got) == k
+            assert np.array([s for _, s in got]).tobytes() == np.array(
+                [s for _, s in want]).tobytes()
+        assert "kl_tables" in vars(embedding_view(b))
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("cov_kind", ["spherical", "diagonal"])
+    def test_the_tables_are_built_on_the_second_query(self, cov_kind, dtype, monkeypatch):
+        """After infer and one negated-KL query the view holds only the two |V|-long sums;
+        cosine queries and infer build no KL table; the second negated-KL query builds
+        e^-lv and e^-lv means as stored, (V, 1 or d) and (V, d), which later queries of any
+        kind reuse."""
+        V, d = 40, 7
+        rng = np.random.default_rng(4)
+        model = init_bsg_model(tiny_vocab(V), TrainConfig(dim=d, hidden_dim=4, cov_kind=cov_kind,
+                                                          param_dtype=dtype), rng)
+        model.prior_mean += rng.normal(size=model.prior_mean.shape).astype(dtype)
+        monkeypatch.setattr(serialize, "BLOCK_FLOATS", 3 * 7)
+        b = bundle_from_model(model)
+        view = embedding_view(b)
+        serialize.infer(b, ["w1", "w3", "w2"], 1, 1)
+        nearest(b, "w3", 5, "neg_kl")
+        own = own_arrays(view, b)
+        assert [a.shape for a in own] == [(V,), (V,)] and set(view.kl_sums) == {"c", "w"}
+        assert all(any(a is s for s in view.kl_sums.values()) for a in own)
+        for word in ("w0", "w17"):
+            nearest(b, word, 5)
+            serialize.infer(b, ["w1", word, "w2"], 1, 1)
+        assert "kl_tables" not in vars(view)
+        nearest(b, "w4", 5, "neg_kl")
+        e, em = vars(view)["kl_tables"]
+        lv = model.prior_log_var.reshape(V, -1)
+        assert e.dtype == em.dtype == np.dtype(dtype)
+        assert e.shape == (V, 1 if cov_kind == "spherical" else d) and em.shape == (V, d)
+        assert e.tobytes() == np.exp(-lv).tobytes()
+        assert em.tobytes() == (np.exp(-lv) * model.prior_mean).tobytes()
+        for word in ("w5", "w6"):
+            for measure in MEASURES:
+                nearest(b, word, 5, measure)
+            serialize.infer(b, ["w1", word, "w2"], 1, 1)
+        assert vars(view)["kl_tables"][0] is e and vars(view)["kl_tables"][1] is em
+
+
 # -------------------------------------------------------------------- evals
 
 def pairs_for(vocab, rng, n, labelled):
